@@ -11,7 +11,9 @@ command-line interface.
 from .config import IterateMode, SeriesMode
 from .diagnostics import OrderComparison, SweepResult, compare_orders, sweep_c0
 from .given_deflection import GivenDeflectionProblem
+from .given_deflection import solve as solve_deflection
 from .given_load import GivenLoadProblem
+from .given_load import solve as solve_load
 from .ham import HomotopyState, ResidualReport, residual_error
 from .interpolation import InterpState, equivalence_check
 from .kernels import BoundarySpec
@@ -42,6 +44,8 @@ __all__ = [
     "equivalence_check",
     "load_number",
     "residual_error",
+    "solve_deflection",
+    "solve_load",
     "sweep_c0",
     "w_over_h",
     "__version__",

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import DEFAULT_GRID, IterateMode, SeriesMode
-from .diagnostics import compare_orders, sweep_c0
+from .diagnostics import compare_orders, solve_problem, sweep_c0
 from .given_deflection import GivenDeflectionProblem
 from .given_deflection import empirical_c0 as empirical_c0_a
 from .given_deflection import solve as solve_deflection
@@ -199,6 +199,10 @@ def _boundary(sub, args):
 
 
 def _write_text(sub, path, text):
+    """Write text to path, or to stdout when no path is given."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     try:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -287,10 +291,7 @@ def cmd_sweep(sub, args):
     lines += [f"{fmt_float(p.c0)},{fmt_float(p.err)},{p.status}"
               for p in result.points]
     text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        _write_text(sub, args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(sub, args.out, text)
     if result.best is None:
         print("argmin: none (all points diverged)", file=sys.stderr)
     else:
@@ -315,10 +316,7 @@ def cmd_compare_orders(sub, args):
         wall = 0.0 if args.deterministic else wall
         lines.append(f"{m},{iteration},{fmt_float(err)},{fmt_float(wall)}")
     text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        _write_text(sub, args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(sub, args.out, text)
     reached = comparison.iterations_to(args.tol)
     summary = " ".join(f"M={m}:{reached[m]}" for m in sorted(reached))
     print(f"iterations to err<={args.tol:g}: {summary}", file=sys.stderr)
@@ -344,10 +342,7 @@ def cmd_compare_baseline(sub, args):
                          f"{fmt_float(rec.q)},{fmt_float(rec.w0_over_h)},"
                          f"{fmt_float(wall)}")
     text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        _write_text(sub, args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(sub, args.out, text)
     print(f"baseline: status={baseline.status} iterations={baseline.iterations} "
           f"err={baseline.err:.6e}", file=sys.stderr)
     print(f"ham:      status={ham.status} iterations={ham.iterations} "
@@ -361,16 +356,10 @@ def cmd_curve(sub, args):
     if args.samples < 2:
         sub.error("--samples must be >= 2")
     problem = _one_of_q_a(sub, args)
-    if args.Q is not None:
-        report = solve_load(problem)
-    else:
-        report = solve_deflection(problem)
+    report = solve_problem(problem)
     rows = deflection_curve(report.phi, problem.boundary.nu, samples=args.samples)
     text = curve_csv(rows)
-    if args.out is not None:
-        _write_text(sub, args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(sub, args.out, text)
     print(f"status={report.status} err={report.err:.6e} "
           f"w0_over_h={fmt_float(report.w0_over_h)}", file=sys.stderr)
     return _STATUS_EXIT[report.status]

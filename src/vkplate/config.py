@@ -68,3 +68,17 @@ def check_control(c1: float, c2: float):
 def check_precision(precision: str):
     if precision not in PRECISIONS:
         raise ValueError(f"precision {precision!r} not one of {PRECISIONS}")
+
+
+def config_echo(problem, head: dict) -> dict:
+    """Run settings of a homotopy problem, after the solver's own ``head`` keys."""
+    mode = problem.mode
+    cfg = dict(head, c1=problem.c1, c2=problem.c2, boundary=problem.boundary.kind,
+               nu=problem.boundary.nu, grid_size=problem.grid_size,
+               precision=problem.precision)
+    if isinstance(mode, SeriesMode):
+        cfg.update(mode="series", order=mode.order)
+    else:
+        cfg.update(mode="iterate", order=mode.order, truncation=mode.truncation,
+                   tol=mode.tol, max_iter=mode.max_iter)
+    return cfg

@@ -17,7 +17,8 @@ from .given_deflection import GivenDeflectionProblem
 from .given_load import GivenLoadProblem
 
 
-def _solve(problem):
+def solve_problem(problem):
+    """Run a prescribed-load or prescribed-deflection problem with its solver."""
     if isinstance(problem, GivenLoadProblem):
         return given_load.solve(problem)
     if isinstance(problem, GivenDeflectionProblem):
@@ -57,7 +58,7 @@ def sweep_c0(problem, c0_grid, order: int = 10) -> SweepResult:
             raise ValueError(f"control value {c} outside (-2, 0)")
     points = []
     for c0 in grid:
-        run = _solve(replace(problem, c1=c0, c2=c0, mode=SeriesMode(order)))
+        run = solve_problem(replace(problem, c1=c0, c2=c0, mode=SeriesMode(order)))
         points.append(SweepPoint(c0, run.err, run.status))
     finite = [p for p in points if math.isfinite(p.err)]
     best = min(finite, key=lambda p: p.err) if finite else None
@@ -93,5 +94,6 @@ def compare_orders(problem, m_values=(1, 2, 3, 4, 5)) -> OrderComparison:
     for m in m_values:
         if m < 1:
             raise ValueError(f"pass order must be >= 1, got {m}")
-        runs[int(m)] = _solve(replace(problem, mode=replace(problem.mode, order=int(m))))
+        runs[int(m)] = solve_problem(
+            replace(problem, mode=replace(problem.mode, order=int(m))))
     return OrderComparison(runs)

@@ -2,18 +2,16 @@
 
 The zeroth-order guess ``phi0 = (-2a / (2 lam + 1)) ((lam + 1) y - y**2)``
 is built so its weighted integral equals ``-a`` exactly; every later
-order keeps a vanishing weighted integral by solving one term of the
-load expansion per order (see :func:`vkplate.ham.solve_load_term`), so
-the center deflection never moves while the load estimate converges.
+order keeps a vanishing weighted integral because
+:func:`vkplate.ham.deformation_step` solves one term of the load
+expansion per order from that side condition, so the center deflection
+never moves while the load estimate converges.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import (
     DEFAULT_GRID,
@@ -22,12 +20,12 @@ from .config import (
     SeriesMode,
     check_control,
     check_precision,
+    config_echo,
 )
-from .ham import HomotopyState, deformation_step, iterate_pass, residual_error
+from .ham import HomotopyState, homotopy_passes, run_passes
 from .kernels import BoundarySpec, load_forcing
-from .physics import deflection_scale
-from .polyseries import PolySeries, deflection_series
-from .report import IterationRecord, RunReport
+from .polyseries import PolySeries
+from .report import RunReport
 
 #: Hard guard on the side condition; drifting past this means a bug, not rounding.
 _RESTRICTION_GUARD = 1e-6
@@ -78,36 +76,6 @@ def initial_slope(deflection: float, boundary: BoundarySpec) -> PolySeries:
     return load_forcing(boundary).scaled(scale)
 
 
-def _center_ratio(phi: PolySeries, nu: float) -> float:
-    return abs(phi.integral_over_y()) / deflection_scale(nu)
-
-
-def _samples(phi: PolySeries):
-    w = deflection_series(phi)
-    return [(float(y), w.evaluate(float(y))) for y in np.linspace(0.0, 1.0, 11)]
-
-
-def _config_echo(problem) -> dict:
-    mode = problem.mode
-    cfg = {
-        "solver": "given_deflection",
-        "deflection": problem.deflection,
-        "c1": problem.c1,
-        "c2": problem.c2,
-        "boundary": problem.boundary.kind,
-        "nu": problem.boundary.nu,
-        "grid_size": problem.grid_size,
-        "precision": problem.precision,
-    }
-    if isinstance(mode, SeriesMode):
-        cfg["mode"] = "series"
-        cfg["order"] = mode.order
-    else:
-        cfg.update(mode="iterate", order=mode.order, truncation=mode.truncation,
-                   tol=mode.tol, max_iter=mode.max_iter)
-    return cfg
-
-
 def solve(problem: GivenDeflectionProblem) -> RunReport:
     """Run the configured mode; history carries the evolving load estimate."""
     b = problem.boundary
@@ -119,65 +87,24 @@ def solve(problem: GivenDeflectionProblem) -> RunReport:
         phi0 = phi0.to_extended()
     state = HomotopyState.for_deflection(phi0, s0, a, problem.c1, problem.c2)
 
-    records = []
     worst_defect = 0.0
-    t0 = time.perf_counter()
 
-    def clock_ms():
-        return (time.perf_counter() - t0) * 1e3
-
-    def push(iteration, order, phi, s, q_est):
+    def guarded(passes):
         nonlocal worst_defect
-        defect = abs(phi.integral_over_y() + a)
-        worst_defect = max(worst_defect, defect)
-        if defect > _RESTRICTION_GUARD:
-            raise RuntimeError(
-                f"side condition drifted to {defect:.3e}; the load-term solve is broken"
-            )
-        err = residual_error(phi, s, q_est, b, problem.grid_size).err
-        records.append(IterationRecord(iteration, order, err, q_est,
-                                       _center_ratio(phi, b.nu), clock_ms()))
-        return err
+        for iteration, order, phi, s, q in passes:
+            defect = abs(phi.integral_over_y() + a)
+            worst_defect = max(worst_defect, defect)
+            if defect > _RESTRICTION_GUARD:
+                raise RuntimeError(f"side condition drifted to {defect:.3e}; "
+                                   "the load-term solve is broken")
+            yield iteration, order, phi, s, q
 
     mode = problem.mode
-    status = "max_iter"
-    q_est = 0.0
-    if isinstance(mode, SeriesMode):
-        phi_t, s_t = phi0, s0
-        err = math.inf
-        for k in range(1, mode.order + 1):
-            deformation_step(state, k, b)
-            phi_t = phi_t + state.phi_terms[k]
-            s_t = s_t + state.s_terms[k]
-            q_est = math.fsum(state.q_terms)
-            err = push(k, k, phi_t, s_t, q_est)
-            if not math.isfinite(err) or err > problem.divergence_err:
-                status = "diverged"
-                break
-        else:
-            status = "converged" if err <= mode.tol else "max_iter"
-    else:
-        phi_t, s_t = phi0, s0
-        for it in range(1, mode.max_iter + 1):
-            state = iterate_pass(state, mode.order, mode.truncation, b)
-            phi_t, s_t = state.phi_terms[0], state.s_terms[0]
-            q_est = state.load_estimate
-            err = push(it, it * mode.order, phi_t, s_t, q_est)
-            if not math.isfinite(err) or err > problem.divergence_err:
-                status = "diverged"
-                break
-            if err <= mode.tol:
-                status = "converged"
-                break
-
-    return RunReport(
-        config=_config_echo(problem),
-        history=records,
-        phi=phi_t,
-        s=s_t,
-        q=q_est,
-        w0_over_h=_center_ratio(phi_t, b.nu),
-        status=status,
-        deflection_samples=_samples(phi_t),
-        restriction_defect=worst_defect,
-    )
+    report = run_passes(guarded(homotopy_passes(state, mode, b)), (phi0, s0, 0.0), b,
+                        config_echo(problem, {"solver": "given_deflection",
+                                              "deflection": a}),
+                        grid_size=problem.grid_size,
+                        divergence_err=problem.divergence_err, tol=mode.tol,
+                        stop_at_tol=isinstance(mode, IterateMode))
+    report.restriction_defect = worst_defect
+    return report

@@ -8,11 +8,9 @@ truncated passes until the residual meets tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
-import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import (
     DEFAULT_GRID,
@@ -21,12 +19,12 @@ from .config import (
     SeriesMode,
     check_control,
     check_precision,
+    config_echo,
 )
-from .ham import HomotopyState, deformation_step, iterate_pass, residual_error
+from .ham import HomotopyState, homotopy_passes, run_passes
 from .kernels import BoundarySpec, load_forcing
-from .physics import deflection_scale
-from .polyseries import PolySeries, deflection_series
-from .report import IterationRecord, RunReport
+from .polyseries import PolySeries
+from .report import RunReport
 
 
 @dataclass(frozen=True)
@@ -72,37 +70,6 @@ def initial_slope(load: float, c0: float, boundary: BoundarySpec) -> PolySeries:
     return load_forcing(boundary).scaled(load * c0)
 
 
-def _center_ratio(phi: PolySeries, nu: float) -> float:
-    # W(0) = -integral of phi/y; report it in thickness units
-    return abs(phi.integral_over_y()) / deflection_scale(nu)
-
-
-def _samples(phi: PolySeries):
-    w = deflection_series(phi)
-    return [(float(y), w.evaluate(float(y))) for y in np.linspace(0.0, 1.0, 11)]
-
-
-def _config_echo(problem) -> dict:
-    mode = problem.mode
-    cfg = {
-        "solver": "given_load",
-        "load": problem.load,
-        "c1": problem.c1,
-        "c2": problem.c2,
-        "boundary": problem.boundary.kind,
-        "nu": problem.boundary.nu,
-        "grid_size": problem.grid_size,
-        "precision": problem.precision,
-    }
-    if isinstance(mode, SeriesMode):
-        cfg["mode"] = "series"
-        cfg["order"] = mode.order
-    else:
-        cfg.update(mode="iterate", order=mode.order, truncation=mode.truncation,
-                   tol=mode.tol, max_iter=mode.max_iter)
-    return cfg
-
-
 def solve(problem: GivenLoadProblem) -> RunReport:
     """Run the configured mode and report per-step history plus the solution."""
     b = problem.boundary
@@ -114,54 +81,12 @@ def solve(problem: GivenLoadProblem) -> RunReport:
         phi0 = phi0.to_extended()
     state = HomotopyState.for_load(phi0, s0, q, problem.c1, problem.c2)
 
-    records = []
-    t0 = time.perf_counter()
-
-    def clock_ms():
-        return (time.perf_counter() - t0) * 1e3
-
-    def push(iteration, order, phi, s):
-        err = residual_error(phi, s, q, b, problem.grid_size).err
-        records.append(IterationRecord(iteration, order, err, q,
-                                       _center_ratio(phi, b.nu), clock_ms()))
-        return err
-
     mode = problem.mode
-    status = "max_iter"
-    if isinstance(mode, SeriesMode):
-        phi_t, s_t = phi0, s0
-        err = push(0, 0, phi_t, s_t)
-        for k in range(1, mode.order + 1):
-            deformation_step(state, k, b)
-            phi_t = phi_t + state.phi_terms[k]
-            s_t = s_t + state.s_terms[k]
-            err = push(k, k, phi_t, s_t)
-            if not math.isfinite(err) or err > problem.divergence_err:
-                status = "diverged"
-                break
-        else:
-            status = "converged" if err <= mode.tol else "max_iter"
-    else:
-        phi_t, s_t = phi0, s0
-        err = math.inf
-        for it in range(1, mode.max_iter + 1):
-            state = iterate_pass(state, mode.order, mode.truncation, b)
-            phi_t, s_t = state.phi_terms[0], state.s_terms[0]
-            err = push(it, it * mode.order, phi_t, s_t)
-            if not math.isfinite(err) or err > problem.divergence_err:
-                status = "diverged"
-                break
-            if err <= mode.tol:
-                status = "converged"
-                break
-
-    return RunReport(
-        config=_config_echo(problem),
-        history=records,
-        phi=phi_t,
-        s=s_t,
-        q=q,
-        w0_over_h=_center_ratio(phi_t, b.nu),
-        status=status,
-        deflection_samples=_samples(phi_t),
-    )
+    passes = homotopy_passes(state, mode, b)
+    if isinstance(mode, SeriesMode):  # a series also records its guess
+        passes = itertools.chain([(0, 0, phi0, s0, q)], passes)
+    return run_passes(passes, (phi0, s0, q), b,
+                      config_echo(problem, {"solver": "given_load", "load": q}),
+                      grid_size=problem.grid_size,
+                      divergence_err=problem.divergence_err, tol=mode.tol,
+                      stop_at_tol=isinstance(mode, IterateMode))

@@ -8,13 +8,14 @@ the deflection gradient) and a membrane-force series ``s`` through
 
 where K and G are the closed-form kernel maps of :mod:`.kernels` and a
 solution drives both operators to zero.  The homotopy construction
-turns that into a triangular sequence of deformation equations: order k
-adds ``c1 * slope_rhs`` and ``c2 * membrane_rhs`` to the previous
-terms, where the right-hand sides involve only orders below k.  The
-first order carries the full forcing; later orders inherit the previous
-term unchanged (the usual step function on the order index).
+turns that into a triangular sequence of deformation equations:
+``deformation_step`` builds order k from the slope and membrane
+right-hand sides of the orders below k, scaled by the control values
+``c1`` and ``c2``.  The first order carries the full forcing and
+inherits nothing; later orders inherit the previous term unchanged.
 
-Two consumption patterns sit on top of the raw stepping:
+Two consumption patterns sit on top of the raw stepping
+(``homotopy_passes``):
 
 * a plain series: run orders 1..n once and sum, and
 * an iterated scheme (``iterate_pass``): run a small number of orders
@@ -25,16 +26,22 @@ Two consumption patterns sit on top of the raw stepping:
 In prescribed-deflection mode each order also determines one term of
 the load expansion from the side condition that the weighted integral
 of every correction vanishes, keeping the center deflection pinned.
+
+``run_passes`` is the one solve loop: it scores every pass a solver
+yields with ``residual_error``, records it, stops on divergence or
+tolerance, and builds the run report.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ddouble as dd
+from .config import IterateMode
 from .kernels import (
     BoundarySpec,
     apply_membrane_kernel,
@@ -42,7 +49,9 @@ from .kernels import (
     forcing_integral,
     load_forcing,
 )
-from .polyseries import PolySeries, multiply, poly_sum
+from .physics import w_over_h
+from .polyseries import PolySeries, deflection_series, multiply, poly_sum
+from .report import IterationRecord, RunReport
 
 
 class OrderingError(RuntimeError):
@@ -86,25 +95,11 @@ class HomotopyState:
         return poly_sum(self.phi_terms), poly_sum(self.s_terms)
 
 
-def chi(k: int) -> float:
-    """Order-index step: 0 at the first order, 1 afterwards."""
-    return 0.0 if k == 1 else 1.0
-
-
 def _scaled_forcing(boundary, coef, extended):
     lf = load_forcing(boundary)
     if extended:
         lf = lf.to_extended()
     return lf.scaled(coef)
-
-
-def _check_orders(state, k):
-    if k < 1:
-        raise OrderingError(f"deformation order must be >= 1, got {k}")
-    if len(state.phi_terms) < k or len(state.s_terms) < k:
-        raise OrderingError(
-            f"order {k} needs terms 0..{k - 1}; state holds {len(state.phi_terms)}"
-        )
 
 
 def _cross_sum(phi_terms, s_terms, k, cap):
@@ -146,51 +141,6 @@ def _membrane_base(state, k, boundary, cap):
     ).scaled(0.5)
 
 
-def slope_rhs(state: HomotopyState, k: int, boundary: BoundarySpec) -> PolySeries:
-    """Right-hand side of the order-k slope deformation equation.
-
-    In prescribed-load mode the forcing term appears only at k = 1; in
-    prescribed-deflection mode it carries the order k-1 load term, which
-    must have been solved already.
-    """
-    _check_orders(state, k)
-    base = _slope_base(state, k, boundary, cap=None)
-    if state.fixed_load:
-        coef = state.q_terms[0] if k == 1 else 0.0
-    else:
-        if len(state.q_terms) < k:
-            raise OrderingError(f"load term for order {k} not solved yet")
-        coef = state.q_terms[k - 1]
-    if coef == 0.0:
-        return base
-    return base + _scaled_forcing(boundary, coef, base.extended)
-
-
-def membrane_rhs(state: HomotopyState, k: int, boundary: BoundarySpec) -> PolySeries:
-    """Right-hand side of the order-k membrane deformation equation."""
-    _check_orders(state, k)
-    return _membrane_base(state, k, boundary, cap=None)
-
-
-def solve_load_term(state: HomotopyState, k: int, boundary: BoundarySpec) -> float:
-    """Load-expansion term of order k-1 from the vanishing-integral side condition.
-
-    Appends the solved value to ``state.q_terms`` and returns it.  Only
-    meaningful in prescribed-deflection mode.
-    """
-    if state.fixed_load:
-        raise OrderingError("load terms are prescribed, not solved, in fixed-load mode")
-    _check_orders(state, k)
-    if len(state.q_terms) != k - 1:
-        raise OrderingError(
-            f"load term for order {k} out of sequence ({len(state.q_terms)} solved)"
-        )
-    base = _slope_base(state, k, boundary, cap=None)
-    coef = -base.integral_over_y() / forcing_integral(boundary)
-    state.q_terms.append(coef)
-    return coef
-
-
 def deformation_step(state: HomotopyState, k: int, boundary: BoundarySpec,
                      truncation: int | None = None):
     """Extend the state by deformation order k.
@@ -225,7 +175,7 @@ def deformation_step(state: HomotopyState, k: int, boundary: BoundarySpec,
     if truncation is not None:
         d2 = d2.truncated(truncation)
 
-    if k == 1:  # chi(1) = 0: no inherited term
+    if k == 1:  # the first order inherits no earlier term
         phi_k = d1.scaled(state.c1)
         s_k = d2.scaled(state.c2)
     else:
@@ -257,6 +207,29 @@ def iterate_pass(state: HomotopyState, order: int, truncation: int | None,
                                          state.c1, state.c2)
     fresh.load_estimate = math.fsum(state.q_terms)
     return fresh
+
+
+def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec):
+    """Yield ``(iteration, order, phi, s, q)`` after each order or pass.
+
+    A ``SeriesMode`` yields the running partial sums after orders
+    1..order; an ``IterateMode`` yields the collapsed state after each
+    pass, up to the pass budget.  ``q`` is the load the pair is scored
+    against: the prescribed load, or the summed load expansion so far.
+    """
+    if isinstance(mode, IterateMode):
+        for it in range(1, mode.max_iter + 1):
+            state = iterate_pass(state, mode.order, mode.truncation, boundary)
+            yield (it, it * mode.order, state.phi_terms[0], state.s_terms[0],
+                   state.load_estimate)
+        return
+    phi, s = state.phi_terms[0], state.s_terms[0]
+    for k in range(1, mode.order + 1):
+        deformation_step(state, k, boundary)
+        phi = phi + state.phi_terms[k]
+        s = s + state.s_terms[k]
+        q = state.q_terms[0] if state.fixed_load else math.fsum(state.q_terms)
+        yield k, k, phi, s, q
 
 
 def staggered_pass(state: HomotopyState, boundary: BoundarySpec,
@@ -337,3 +310,42 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
                           ys if keep_points else None,
                           v1h if keep_points else None,
                           v2h if keep_points else None)
+
+
+def run_passes(passes, start, boundary: BoundarySpec, config: dict, *,
+               grid_size: int, divergence_err: float, tol: float,
+               stop_at_tol: bool) -> RunReport:
+    """Score, record and classify the passes of one solve.
+
+    ``passes`` yields ``(iteration, order, phi, s, q)``; ``start`` is the
+    ``(phi, s, q)`` reported if it yields nothing.  Each pass gets one
+    residual evaluation and one history record.  A non-finite residual
+    or one above ``divergence_err`` ends the run as diverged; an order-0
+    record is the starting guess, not a pass, and is never judged
+    diverged.  With ``stop_at_tol`` the run ends at the first residual
+    at or below ``tol``; otherwise it runs out the passes and the last
+    residual decides between converged and max_iter.
+    """
+    phi, s, q = start
+    records = []
+    status = "max_iter"
+    err = math.inf
+    t0 = time.perf_counter()
+    for iteration, order, phi, s, q in passes:
+        err = residual_error(phi, s, q, boundary, grid_size).err
+        # W(0) = -integral of phi/y, reported in thickness units
+        records.append(IterationRecord(iteration, order, err, q,
+                                       w_over_h(phi.integral_over_y(), boundary.nu),
+                                       (time.perf_counter() - t0) * 1e3))
+        if order > 0 and (not math.isfinite(err) or err > divergence_err):
+            status = "diverged"
+            break
+        if stop_at_tol and err <= tol:
+            break
+    if status == "max_iter" and err <= tol:
+        status = "converged"
+    w = deflection_series(phi)
+    samples = [(float(y), w.evaluate(float(y))) for y in np.linspace(0.0, 1.0, 11)]
+    return RunReport(config=config, history=records, phi=phi, s=s, q=q,
+                     w0_over_h=w_over_h(phi.integral_over_y(), boundary.nu),
+                     status=status, deflection_samples=samples)

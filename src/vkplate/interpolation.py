@@ -9,32 +9,30 @@ membrane response of the current slope iterate and then blends
     phi_(n+1) = (1 - theta) phi_n - theta Q K[1] - theta K[phi_n psi_n / y**2].
 
 theta = 1 is the raw Picard map, which stops converging at moderate
-loads; small theta trades speed for reach.  The loop below is written
+loads; small theta trades speed for reach.  ``step`` is written
 directly from that recurrence and shares nothing with the homotopy
 stepping, which is the point: ``equivalence_check`` runs both and
 confirms they produce the same iterates when the homotopy is driven
-first-order, staggered, with c1 = -theta and c2 = -1.
+first-order, staggered, with c1 = -theta and c2 = -1.  Only the run
+bookkeeping (``vkplate.ham.run_passes``) is common to both solvers.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_GRID, DIVERGENCE_ERR
-from .ham import HomotopyState, residual_error, staggered_pass
+from .ham import HomotopyState, run_passes, staggered_pass
 from .kernels import (
     BoundarySpec,
     apply_membrane_kernel,
     apply_slope_kernel,
     load_forcing,
 )
-from .physics import deflection_scale
-from .polyseries import PolySeries, deflection_series, multiply
-from .report import IterationRecord, RunReport
+from .polyseries import PolySeries, multiply
+from .report import RunReport
 
 
 @dataclass
@@ -91,24 +89,12 @@ def solve(load: float, theta: float, boundary: BoundarySpec = BoundarySpec(),
           divergence_err: float = DIVERGENCE_ERR) -> RunReport:
     """Iterate to tolerance and report history in the standard schema."""
     state = initial_state(load, theta, boundary)
-    records = []
-    t0 = time.perf_counter()
-    status = "max_iter"
-    scale = deflection_scale(boundary.nu)
-    phi, psi = state.phi, PolySeries.zero()
-    for it in range(1, max_iter + 1):
-        state = step(state, truncation)
-        phi, psi = state.phi, state.psi
-        err = residual_error(phi, psi, load, boundary, grid_size).err
-        w0h = abs(phi.integral_over_y()) / scale
-        records.append(IterationRecord(it, it, err, load, w0h,
-                                       (time.perf_counter() - t0) * 1e3))
-        if not math.isfinite(err) or err > divergence_err:
-            status = "diverged"
-            break
-        if err <= tol:
-            status = "converged"
-            break
+
+    def passes(state):
+        for it in range(1, max_iter + 1):
+            state = step(state, truncation)
+            yield it, it, state.phi, state.psi, load
+
     cfg = {
         "solver": "interpolation",
         "load": load,
@@ -120,11 +106,9 @@ def solve(load: float, theta: float, boundary: BoundarySpec = BoundarySpec(),
         "max_iter": max_iter,
         "grid_size": grid_size,
     }
-    w = deflection_series(phi)
-    samples = [(float(y), w.evaluate(float(y))) for y in np.linspace(0, 1, 11)]
-    return RunReport(config=cfg, history=records, phi=phi, s=psi,
-                     q=load, w0_over_h=abs(phi.integral_over_y()) / scale,
-                     status=status, deflection_samples=samples)
+    return run_passes(passes(state), (state.phi, PolySeries.zero(), load), boundary,
+                      cfg, grid_size=grid_size, divergence_err=divergence_err,
+                      tol=tol, stop_at_tol=True)
 
 
 def equivalence_check(load: float, theta: float, iterations: int = 50,

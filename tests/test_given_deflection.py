@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from vkplate import given_deflection
 from vkplate.config import IterateMode, SeriesMode
 from vkplate.given_deflection import (
     GivenDeflectionProblem,
@@ -51,6 +52,35 @@ def test_series_run_tracks_restriction_defect():
     rep = solve(GivenDeflectionProblem.with_c0(5.0, -0.25, SeriesMode(30)))
     assert rep.restriction_defect is not None
     assert rep.restriction_defect <= 1e-10
+
+
+@pytest.mark.parametrize("a, mode, orders, status", [
+    # order 0 has no load term yet, so nothing is recorded
+    (5.0, SeriesMode(0), [], "max_iter"),
+    # below tol at order 13, yet the series runs to order 20
+    (2.0, SeriesMode(20, tol=1e-7), list(range(1, 21)), "converged"),
+    # an iterate run stops at the first pass at or below tol
+    (5.0, IterateMode(order=5, truncation=100, tol=1e-6, max_iter=50),
+     [5, 10, 15, 20], "converged"),
+])
+def test_run_length_follows_the_mode(residual_calls, a, mode, orders, status):
+    rep = solve(GivenDeflectionProblem.with_c0(a, -0.5, mode))
+    assert [rec.order for rec in rep.history] == orders
+    assert rep.status == status
+    assert len(residual_calls) == len(rep.history)
+    if isinstance(mode, IterateMode):
+        assert all(rec.err > mode.tol for rec in rep.history[:-1])
+        assert rep.err <= mode.tol
+    if not orders:
+        assert math.isnan(rep.err) and rep.q == 0.0
+        assert rep.restriction_defect == 0.0
+
+
+def test_side_condition_guard_fires_before_the_residual(monkeypatch, residual_calls):
+    monkeypatch.setattr(given_deflection, "_RESTRICTION_GUARD", -1.0)
+    with pytest.raises(RuntimeError, match="side condition"):
+        solve(GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(3)))
+    assert residual_calls == []
 
 
 def test_series_run_recovers_the_matching_load():

@@ -78,6 +78,30 @@ def test_iterate_mode_converges_and_echoes_config():
     assert rep.history[0].iteration == 1
 
 
+@pytest.mark.parametrize("load, c0, mode, orders, status", [
+    # order 0 records the guess alone, classified by its own residual
+    (5.0, -0.35, SeriesMode(0), [0], "max_iter"),
+    # below tol at order 10, yet the series runs to order 20
+    (5.0, -0.35, SeriesMode(20, tol=5e-4), list(range(21)), "converged"),
+    # below tol at order 18 but above it at order 20: the last residual decides
+    (5.0, -0.35, SeriesMode(20, tol=5e-5), list(range(21)), "max_iter"),
+    # the guess is recorded even above the divergence threshold (err 2e9);
+    # only the first order ends the run
+    (1000.0, -1.5, SeriesMode(5), [0, 1], "diverged"),
+    # an iterate run stops at the first pass at or below tol
+    (132.1965, -0.15, IterateMode(order=5, truncation=100, tol=1e-6, max_iter=50),
+     list(range(5, 46, 5)), "converged"),
+])
+def test_run_length_follows_the_mode(residual_calls, load, c0, mode, orders, status):
+    rep = solve(GivenLoadProblem.with_c0(load, c0, mode))
+    assert [rec.order for rec in rep.history] == orders
+    assert rep.status == status
+    assert len(residual_calls) == len(rep.history)
+    if isinstance(mode, IterateMode):
+        assert all(rec.err > mode.tol for rec in rep.history[:-1])
+        assert rep.err <= mode.tol
+
+
 def test_iterate_budget_exhaustion_reports_max_iter():
     mode = IterateMode(order=1, truncation=30, tol=1e-30, max_iter=3)
     rep = solve(GivenLoadProblem.with_c0(5.0, -0.5, mode))

@@ -10,13 +10,11 @@ from scipy.integrate import quad
 from vkplate.ham import (
     HomotopyState,
     OrderingError,
-    chi,
+    _membrane_base,
+    _slope_base,
     deformation_step,
     iterate_pass,
-    membrane_rhs,
     residual_error,
-    slope_rhs,
-    solve_load_term,
     staggered_pass,
 )
 from vkplate.kernels import (
@@ -42,19 +40,15 @@ def _deflection_state(a, c0):
     return HomotopyState.for_deflection(phi0, PolySeries.zero(), a, c0, c0)
 
 
-def test_chi_convention():
-    assert chi(1) == 0.0
-    assert all(chi(k) == 1.0 for k in range(2, 8))
-
-
 def test_first_order_slope_rhs_closed_form():
     # with s0 = 0 the first slope right-hand side collapses to
-    # (1 + c0) * Q * load_forcing
+    # (1 + c0) * Q * load_forcing; the first order inherits no phi0 term,
+    # so the step stores exactly c0 times it
     q, c0 = 5.0, -0.35
     state = _load_state(q, c0)
-    d1 = slope_rhs(state, 1, B)
-    want = load_forcing(B).scaled(q * (1.0 + c0))
-    assert np.allclose(d1.coeffs, want.coeffs, rtol=1e-14)
+    deformation_step(state, 1, B)
+    want = load_forcing(B).scaled(q * (1.0 + c0) * c0)
+    assert np.allclose(state.phi_terms[1].coeffs, want.coeffs, rtol=1e-14)
 
 
 def test_control_value_minus_one_gives_vanishing_first_update():
@@ -66,11 +60,14 @@ def test_control_value_minus_one_gives_vanishing_first_update():
 def test_first_order_membrane_rhs_closed_form():
     q, c0 = 3.0, -0.4
     state = _load_state(q, c0)
-    d2 = membrane_rhs(state, 1, B)
+    d2 = _membrane_base(state, 1, B, cap=None)
     lf = load_forcing(B)
     sq = multiply(lf, lf).scaled((q * c0) ** 2)
     want = apply_membrane_kernel(sq.divided_by_y_squared(), B).scaled(-0.5)
     assert np.allclose(d2.coeffs, want.coeffs, rtol=1e-14)
+    deformation_step(state, 1, B)
+    assert np.allclose(state.s_terms[1].coeffs, want.scaled(c0).coeffs,
+                       rtol=1e-14)
 
 
 def test_second_order_slope_rhs_assembly():
@@ -84,33 +81,37 @@ def test_second_order_slope_rhs_assembly():
     want = phi1 + apply_slope_kernel(
         multiply(phi0, s1).divided_by_y_squared(), B
     )
-    got = slope_rhs(state, 2, B)
+    got = _slope_base(state, 2, B, cap=None)
     assert np.allclose(got.coeffs, want.coeffs, rtol=1e-13, atol=1e-16)
+    deformation_step(state, 2, B)
+    assert np.allclose(state.phi_terms[2].coeffs,
+                       (phi1 + want.scaled(c0)).coeffs, rtol=1e-13, atol=1e-16)
 
 
 def test_inheritance_from_second_order_on():
+    # every order past the first adds its update to the previous term
     q, c0 = 2.0, -0.5
     state = _load_state(q, c0)
     deformation_step(state, 1, B)
-    d1 = slope_rhs(state, 2, B)
-    d2 = membrane_rhs(state, 2, B)
-    deformation_step(state, 2, B)
-    want_phi2 = state.phi_terms[1] + d1.scaled(c0)
-    want_s2 = state.s_terms[1] + d2.scaled(c0)
-    assert np.allclose(state.phi_terms[2].coeffs, want_phi2.coeffs, rtol=1e-13)
-    assert np.allclose(state.s_terms[2].coeffs, want_s2.coeffs, rtol=1e-13)
+    for k in range(2, 8):
+        d1 = _slope_base(state, k, B, cap=None)  # no forcing past order 1
+        d2 = _membrane_base(state, k, B, cap=None)
+        deformation_step(state, k, B)
+        want_phi = state.phi_terms[k - 1] + d1.scaled(c0)
+        want_s = state.s_terms[k - 1] + d2.scaled(c0)
+        assert np.allclose(state.phi_terms[k].coeffs, want_phi.coeffs, rtol=1e-13)
+        assert np.allclose(state.s_terms[k].coeffs, want_s.coeffs, rtol=1e-13)
 
 
 def test_ordering_guards():
     state = _load_state(1.0, -0.5)
     with pytest.raises(OrderingError):
-        slope_rhs(state, 2, B)  # order 1 not built yet
+        deformation_step(state, 2, B)  # order 1 not built yet
     with pytest.raises(OrderingError):
-        deformation_step(state, 2, B)
+        deformation_step(state, 0, B)
+    deformation_step(state, 1, B)
     with pytest.raises(OrderingError):
-        solve_load_term(state, 1, B)  # load is prescribed here
-    with pytest.raises(OrderingError):
-        slope_rhs(state, 0, B)
+        deformation_step(state, 1, B)  # order 1 already built
 
 
 def test_prescribed_deflection_initial_integral_is_exact():
@@ -122,31 +123,32 @@ def test_prescribed_deflection_initial_integral_is_exact():
 def test_first_load_term_closed_form():
     a = 5.0
     state = _deflection_state(a, -0.5)
-    q0 = solve_load_term(state, 1, B)
-    assert math.isclose(q0, 4.0 * a / (2.0 * B.lam + 1.0), rel_tol=1e-14)
-
-
-def test_load_term_required_before_slope_rhs():
-    state = _deflection_state(2.0, -0.5)
-    with pytest.raises(OrderingError):
-        slope_rhs(state, 1, B)
-    solve_load_term(state, 1, B)
-    slope_rhs(state, 1, B)  # now legal
+    deformation_step(state, 1, B)
+    assert len(state.q_terms) == 1
+    assert math.isclose(state.q_terms[0], 4.0 * a / (2.0 * B.lam + 1.0),
+                        rel_tol=1e-14)
 
 
 def test_load_term_sequence_guard():
     state = _deflection_state(2.0, -0.5)
-    solve_load_term(state, 1, B)
+    state.q_terms.append(1.0)  # a load term for order 1 that the step did not solve
     with pytest.raises(OrderingError):
-        solve_load_term(state, 1, B)  # already solved
+        deformation_step(state, 1, B)
+    state = _deflection_state(2.0, -0.5)
+    deformation_step(state, 1, B)
+    state.q_terms.pop()  # order 2 finds its predecessor's load term missing
+    with pytest.raises(OrderingError):
+        deformation_step(state, 2, B)
 
 
 def test_solved_load_term_zeroes_the_rhs_integral():
     state = _deflection_state(4.0, -0.3)
     for k in (1, 2, 3):
         deformation_step(state, k, B)
-        d1 = slope_rhs(state, k, B)
+        d1 = _slope_base(state, k, B, cap=None) + load_forcing(B).scaled(
+            state.q_terms[k - 1])
         assert abs(d1.integral_over_y()) < 1e-12
+        assert abs(state.phi_terms[k].integral_over_y()) < 1e-12
 
 
 def test_truncation_caps_stored_degrees():

@@ -1,0 +1,24 @@
+"""The README's library example runs and prints what it promises."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                        re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], str(README), "exec"), {})
+    first, second = out.getvalue().split("\n")[:2]
+    err, w0_over_h = (float(v) for v in first.split())
+    assert err == pytest.approx(1.66e-7, rel=5e-3)
+    assert w0_over_h == pytest.approx(0.62276, abs=5e-6)
+    assert float(second) == pytest.approx(132.1965, abs=5e-5)
