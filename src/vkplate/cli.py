@@ -39,42 +39,47 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub, *, order_default=10):
-    sub.add_argument("--c0", default="auto",
-                     help="control value for both updates, or 'auto' for the "
-                          "fitted formula matching the mode (default: auto)")
-    sub.add_argument("--c1", type=float, default=None,
-                     help="override the slope-update control value")
-    sub.add_argument("--c2", type=float, default=None,
-                     help="override the membrane-update control value")
-    sub.add_argument("--order", type=int, default=order_default,
-                     help=f"series order for the plain mode (default: {order_default})")
-    sub.add_argument("--iterate", action="store_true",
-                     help="repeat truncated low-order passes instead of one long series")
-    sub.add_argument("--M", type=int, default=5, dest="M",
-                     help="terms per pass in iterate mode (default: 5)")
-    sub.add_argument("--N", type=int, default=100, dest="N",
-                     help="degree cap per pass in iterate mode (default: 100)")
-    sub.add_argument("--tol", type=float, default=1e-12,
-                     help="residual tolerance (default: 1e-12)")
-    sub.add_argument("--max-iter", type=int, default=500,
-                     help="pass budget in iterate mode (default: 500)")
-    sub.add_argument("--boundary", choices=BOUNDARY_KINDS, default="clamped",
-                     help="edge support kind (default: clamped)")
-    sub.add_argument("--nu", type=float, default=0.3,
-                     help="Poisson ratio (default: 0.3)")
-    sub.add_argument("--grid-K", type=int, default=DEFAULT_GRID, dest="grid_k",
-                     help="residual grid: K+1 uniform points (default: 100)")
-    sub.add_argument("--precision", choices=("double", "extended"), default="double",
-                     help="coefficient arithmetic (default: double)")
-    sub.add_argument("--out", type=Path, default=None,
-                     help="write the report here instead of stdout")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     dest="fmt", help="report format (default: csv)")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="zero out wall-clock fields for byte-stable output")
-    sub.add_argument("--config", type=Path, default=None,
-                     help="JSON file with the same keys; flags override it")
+def _add_common(sub, omit=()):
+    """Register the shared flags, except those named in omit (unread there)."""
+    def add(flag, **kw):
+        if flag not in omit:
+            sub.add_argument(flag, **kw)
+
+    add("--c0", default="auto",
+        help="control value for both updates, or 'auto' for the "
+             "fitted formula matching the mode (default: auto)")
+    add("--c1", type=float, default=None,
+        help="override the slope-update control value")
+    add("--c2", type=float, default=None,
+        help="override the membrane-update control value")
+    add("--order", type=int, default=10,
+        help="series order for the plain mode (default: 10)")
+    add("--iterate", action="store_true",
+        help="repeat truncated low-order passes instead of one long series")
+    add("--M", type=int, default=5, dest="M",
+        help="terms per pass in iterate mode (default: 5)")
+    add("--N", type=int, default=100, dest="N",
+        help="degree cap per pass in iterate mode (default: 100)")
+    add("--tol", type=float, default=1e-12,
+        help="residual tolerance (default: 1e-12)")
+    add("--max-iter", type=int, default=500,
+        help="pass budget in iterate mode (default: 500)")
+    add("--boundary", choices=BOUNDARY_KINDS, default="clamped",
+        help="edge support kind (default: clamped)")
+    add("--nu", type=float, default=0.3,
+        help="Poisson ratio (default: 0.3)")
+    add("--grid-K", type=int, default=DEFAULT_GRID, dest="grid_k",
+        help="residual grid: K+1 uniform points (default: 100)")
+    add("--precision", choices=("double", "extended"), default="double",
+        help="coefficient arithmetic (default: double)")
+    add("--out", type=Path, default=None,
+        help="write the report here instead of stdout")
+    add("--format", choices=("csv", "json"), default="csv",
+        dest="fmt", help="report format (default: csv)")
+    add("--deterministic", action="store_true",
+        help="zero out wall-clock fields for byte-stable output")
+    add("--config", type=Path, default=None,
+        help="JSON file with the same keys; flags override it")
 
 
 def build_parser():
@@ -85,7 +90,9 @@ def build_parser():
     registry = {}
 
     def register(name, help_text, handler, **kw):
-        sub = subs.add_parser(name, help=help_text, **kw)
+        # flags only in full: an abbreviation could pick another flag
+        # (compare-orders would read --M as --M-set)
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False, **kw)
         sub.set_defaults(handler=handler)
         registry[name] = sub
         return sub
@@ -111,7 +118,9 @@ def build_parser():
                     help="grid spacing (default: 0.05)")
     sw.add_argument("--sweep-order", type=int, default=10,
                     help="series order per grid point (default: 10)")
-    _add_common(sw)
+    _add_common(sw, omit=("--c0", "--c1", "--c2", "--order", "--iterate", "--M",
+                          "--N", "--tol", "--max-iter", "--format",
+                          "--deterministic"))
 
     co = register("compare-orders", "pass-order study at a fixed control value",
                   cmd_compare_orders)
@@ -119,7 +128,7 @@ def build_parser():
     co.add_argument("--a", type=float, default=None, dest="a")
     co.add_argument("--M-set", default="1,2,3,4,5", dest="m_set",
                     help="comma-separated pass orders (default: 1,2,3,4,5)")
-    _add_common(co)
+    _add_common(co, omit=("--order", "--iterate", "--M", "--format"))
 
     cb = register("compare-baseline", "interpolation baseline vs the iterated solver",
                   cmd_compare_baseline)
@@ -127,14 +136,14 @@ def build_parser():
                     help="load number shared by both methods (required)")
     cb.add_argument("--theta", type=float, default=0.1,
                     help="baseline interpolation parameter (default: 0.1)")
-    _add_common(cb)
+    _add_common(cb, omit=("--order", "--iterate", "--format"))
 
     cv = register("curve", "deflection profile of a converged solution", cmd_curve)
     cv.add_argument("--Q", type=float, default=None, dest="Q")
     cv.add_argument("--a", type=float, default=None, dest="a")
     cv.add_argument("--samples", type=int, default=101,
                     help="points along the radius (default: 101)")
-    _add_common(cv)
+    _add_common(cv, omit=("--format", "--deterministic"))
 
     tb = register("tables", "reproduce the seven benchmark tables", cmd_tables)
     tb.add_argument("--out-dir", type=Path, default=Path("tables"),
@@ -166,7 +175,15 @@ def _merge_config(sub, args, parser, argv):
     return parser.parse_args(argv)
 
 
-def _resolve_controls(sub, args, value, empirical):
+def _checked(sub, make, *args, **kw):
+    """Call make(*args, **kw); a ValueError it raises is a usage error."""
+    try:
+        return make(*args, **kw)
+    except ValueError as exc:
+        sub.error(str(exc))
+
+
+def _resolve_controls(sub, args, value, empirical, mode):
     """Turn --c0/--c1/--c2 into the (c1, c2) pair for a problem."""
     c0 = args.c0
     if isinstance(c0, str):
@@ -178,24 +195,21 @@ def _resolve_controls(sub, args, value, empirical):
             except ValueError:
                 sub.error(f"--c0 must be a number or 'auto', got {args.c0!r}")
     if c0 is None:
-        c0 = empirical(value, iterated=args.iterate)
+        c0 = empirical(value, iterated=isinstance(mode, IterateMode))
     c1 = c0 if args.c1 is None else args.c1
     c2 = c0 if args.c2 is None else args.c2
     return c1, c2
 
 
-def _mode(args):
+def _iterate_mode(sub, args, order=IterateMode.order):
+    return _checked(sub, IterateMode, order=order, truncation=args.N,
+                    tol=args.tol, max_iter=args.max_iter)
+
+
+def _mode(sub, args):
     if args.iterate:
-        return IterateMode(order=args.M, truncation=args.N,
-                           tol=args.tol, max_iter=args.max_iter)
-    return SeriesMode(order=args.order, tol=args.tol)
-
-
-def _boundary(sub, args):
-    try:
-        return BoundarySpec(args.boundary, args.nu)
-    except ValueError as exc:
-        sub.error(str(exc))
+        return _iterate_mode(sub, args, args.M)
+    return _checked(sub, SeriesMode, order=args.order, tol=args.tol)
 
 
 def _write_text(sub, path, text):
@@ -228,46 +242,44 @@ def _emit_run(sub, args, report):
     return _STATUS_EXIT[report.status]
 
 
-def _build_load_problem(sub, args):
+def _build_load_problem(sub, args, mode, controls=None):
+    """Prescribed-load problem; controls (c1, c2) default to --c0/--c1/--c2."""
     if args.Q is None:
         sub.error("--Q is required")
-    c1, c2 = _resolve_controls(sub, args, args.Q, empirical_c0_q)
-    try:
-        return GivenLoadProblem(load=float(args.Q), c1=c1, c2=c2, mode=_mode(args),
-                                boundary=_boundary(sub, args),
-                                grid_size=args.grid_k, precision=args.precision)
-    except ValueError as exc:
-        sub.error(str(exc))
+    c1, c2 = controls or _resolve_controls(sub, args, args.Q, empirical_c0_q, mode)
+    boundary = _checked(sub, BoundarySpec, args.boundary, args.nu)
+    return _checked(sub, GivenLoadProblem, load=float(args.Q), c1=c1, c2=c2,
+                    mode=mode, boundary=boundary, grid_size=args.grid_k,
+                    precision=args.precision)
 
 
-def _build_deflection_problem(sub, args):
+def _build_deflection_problem(sub, args, mode, controls=None):
+    """Prescribed-deflection problem; controls as for the load problem."""
     if args.a is None:
         sub.error("--a is required")
-    c1, c2 = _resolve_controls(sub, args, args.a, empirical_c0_a)
-    try:
-        return GivenDeflectionProblem(deflection=float(args.a), c1=c1, c2=c2,
-                                      mode=_mode(args),
-                                      boundary=_boundary(sub, args),
-                                      grid_size=args.grid_k,
-                                      precision=args.precision)
-    except ValueError as exc:
-        sub.error(str(exc))
+    c1, c2 = controls or _resolve_controls(sub, args, args.a, empirical_c0_a, mode)
+    boundary = _checked(sub, BoundarySpec, args.boundary, args.nu)
+    return _checked(sub, GivenDeflectionProblem, deflection=float(args.a), c1=c1,
+                    c2=c2, mode=mode, boundary=boundary, grid_size=args.grid_k,
+                    precision=args.precision)
 
 
 def cmd_solve_q(sub, args):
-    return _emit_run(sub, args, solve_load(_build_load_problem(sub, args)))
+    problem = _build_load_problem(sub, args, _mode(sub, args))
+    return _emit_run(sub, args, solve_load(problem))
 
 
 def cmd_solve_a(sub, args):
-    return _emit_run(sub, args, solve_deflection(_build_deflection_problem(sub, args)))
+    problem = _build_deflection_problem(sub, args, _mode(sub, args))
+    return _emit_run(sub, args, solve_deflection(problem))
 
 
-def _one_of_q_a(sub, args):
+def _one_of_q_a(sub, args, mode, controls=None):
     if (args.Q is None) == (args.a is None):
         sub.error("exactly one of --Q / --a is required")
     if args.Q is not None:
-        return _build_load_problem(sub, args)
-    return _build_deflection_problem(sub, args)
+        return _build_load_problem(sub, args, mode, controls)
+    return _build_deflection_problem(sub, args, mode, controls)
 
 
 def cmd_sweep(sub, args):
@@ -280,13 +292,9 @@ def cmd_sweep(sub, args):
         c += args.c0_step
     if not grid:
         sub.error("empty control grid")
-    # placeholder controls; the sweep substitutes each grid value
-    args.c0 = str(grid[0])
-    problem = _one_of_q_a(sub, args)
-    try:
-        result = sweep_c0(problem, grid, order=args.sweep_order)
-    except ValueError as exc:
-        sub.error(str(exc))
+    mode = _checked(sub, SeriesMode, order=args.sweep_order)
+    problem = _one_of_q_a(sub, args, mode, controls=(grid[0], grid[0]))
+    result = _checked(sub, sweep_c0, problem, grid, order=args.sweep_order)
     lines = ["c0,err,status"]
     lines += [f"{fmt_float(p.c0)},{fmt_float(p.err)},{p.status}"
               for p in result.points]
@@ -305,12 +313,9 @@ def cmd_compare_orders(sub, args):
         m_values = [int(tok) for tok in args.m_set.split(",") if tok.strip()]
     except ValueError:
         sub.error(f"--M-set must be comma-separated integers, got {args.m_set!r}")
-    args.iterate = True
-    problem = _one_of_q_a(sub, args)
-    try:
-        comparison = compare_orders(problem, m_values)
-    except ValueError as exc:
-        sub.error(str(exc))
+    # each pass order in m_values replaces the mode's default order
+    problem = _one_of_q_a(sub, args, _iterate_mode(sub, args))
+    comparison = _checked(sub, compare_orders, problem, m_values)
     lines = ["m,iteration,err,wall_ms"]
     for m, iteration, err, wall in comparison.rows():
         wall = 0.0 if args.deterministic else wall
@@ -328,8 +333,7 @@ def cmd_compare_baseline(sub, args):
         sub.error("--Q is required")
     if not 0.0 < args.theta <= 1.0:
         sub.error("--theta must lie in (0, 1]")
-    args.iterate = True
-    problem = _build_load_problem(sub, args)
+    problem = _build_load_problem(sub, args, _iterate_mode(sub, args, args.M))
     baseline = solve_baseline(args.Q, args.theta, boundary=problem.boundary,
                               truncation=args.N, tol=args.tol,
                               max_iter=args.max_iter, grid_size=args.grid_k)
@@ -355,7 +359,7 @@ def cmd_compare_baseline(sub, args):
 def cmd_curve(sub, args):
     if args.samples < 2:
         sub.error("--samples must be >= 2")
-    problem = _one_of_q_a(sub, args)
+    problem = _one_of_q_a(sub, args, _mode(sub, args))
     report = solve_problem(problem)
     rows = deflection_curve(report.phi, problem.boundary.nu, samples=args.samples)
     text = curve_csv(rows)

@@ -5,10 +5,9 @@ function, kernel images, residuals) is a polynomial in ``y`` on
 ``[0, 1]`` stored as a dense ascending coefficient array:
 ``coeffs[m]`` multiplies ``y**m``.
 
-Instances are immutable and always kept in canonical form: no trailing
-zero coefficient (the zero polynomial is the single coefficient
-``[0.0]``) and magnitudes below ``1e-300`` are flushed to zero so
-denormals never creep into long runs.
+Instances are immutable and hold the coefficients they are given,
+trailing zeros included; any series without a nonzero coefficient is
+the zero polynomial, whatever its length.
 
 Coefficients are float64 by default.  Passing a companion ``lo`` array
 turns each coefficient into a double-double value (see
@@ -23,9 +22,6 @@ import math
 import numpy as np
 
 from . import ddouble as dd
-
-# Canonical form flushes magnitudes below this to zero (denormal guard).
-_TINY = 1e-300
 
 
 class PolySeries:
@@ -45,34 +41,18 @@ class PolySeries:
     def __init__(self, coeffs, lo=None):
         hi = np.array(coeffs, dtype=float).ravel()
         if lo is not None:
-            lo_arr = np.array(lo, dtype=float).ravel()
-            if lo_arr.shape != hi.shape:
+            lo = np.array(lo, dtype=float).ravel()
+            if lo.shape != hi.shape:
                 raise ValueError("lo array must match coeffs in length")
-            hi, lo_arr = dd.two_sum(hi, lo_arr)  # renormalize
-        else:
-            lo_arr = None
-
+            hi, lo = dd.two_sum(hi, lo)  # renormalize
         if hi.size == 0:
             hi = np.zeros(1)
-            lo_arr = np.zeros(1) if lo_arr is not None else None
-        flush = np.abs(hi) < _TINY
-        if flush.any():
-            hi = np.where(flush, 0.0, hi)
-            if lo_arr is not None:
-                lo_arr = np.where(flush, 0.0, lo_arr)
-        # strip trailing zeros; the zero polynomial is [0.0]
-        keep = hi != 0.0
-        if lo_arr is not None:
-            keep = keep | (lo_arr != 0.0)
-        nz = np.nonzero(keep)[0]
-        end = int(nz[-1]) + 1 if nz.size else 1
-        hi = np.ascontiguousarray(hi[:end])
-        if lo_arr is not None:
-            lo_arr = np.ascontiguousarray(lo_arr[:end])
-            lo_arr.flags.writeable = False
+            lo = None if lo is None else np.zeros(1)
         hi.flags.writeable = False
+        if lo is not None:
+            lo.flags.writeable = False
         object.__setattr__(self, "coeffs", hi)
-        object.__setattr__(self, "lo", lo_arr)
+        object.__setattr__(self, "lo", lo)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolySeries is immutable")
@@ -91,13 +71,12 @@ class PolySeries:
 
     @property
     def degree(self) -> int:
+        """Highest stored power; its coefficient may be zero."""
         return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0.0 and (
-            self.lo is None or self.lo[0] == 0.0
-        )
+        return not self.coeffs.any() and (self.lo is None or not self.lo.any())
 
     @property
     def valuation(self):

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from vkplate.cli import main
+from vkplate.cli import build_parser, main
 
 
 def run_cli(argv):
@@ -157,6 +157,44 @@ def test_curve_for_prescribed_deflection(tmp_path):
     rows = list(csv.DictReader(path.open()))
     got = abs(float(rows[0]["W"]))
     assert got == pytest.approx(2.0, rel=1e-6)
+
+
+# cheap runs that exit 0, and the shared flags each of them does not read
+_BASE_ARGV = {
+    "sweep-c0": ["--Q", "5", "--c0-min", "-0.4", "--c0-max", "-0.3",
+                 "--sweep-order", "2"],
+    "compare-orders": ["--Q", "5", "--c0", "-0.5", "--M-set", "1", "--N", "20",
+                       "--max-iter", "2"],
+    "compare-baseline": ["--Q", "5", "--c0", "-0.5", "--N", "20",
+                         "--max-iter", "2"],
+    "curve": ["--Q", "1", "--order", "2", "--samples", "3"],
+}
+_UNREAD_FLAGS = {
+    "sweep-c0": ("--c0", "--c1", "--c2", "--order", "--iterate", "--M", "--N",
+                 "--tol", "--max-iter", "--format", "--deterministic"),
+    "compare-orders": ("--order", "--iterate", "--M", "--format"),
+    "compare-baseline": ("--order", "--iterate", "--format"),
+    "curve": ("--format", "--deterministic"),
+}
+_FLAG_VALUE = {"--c0": "-0.3", "--c1": "-0.3", "--c2": "-0.3", "--order": "2",
+               "--M": "2", "--N": "20", "--tol": "1e-3", "--max-iter": "2",
+               "--format": "json"}
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in _UNREAD_FLAGS.items()
+                                          for f in flags])
+def test_unread_flags_are_usage_errors(tmp_path, command, flag):
+    base = [command, *_BASE_ARGV[command], "--out", str(tmp_path / "out.csv")]
+    assert run_cli(base) == 0
+    value = _FLAG_VALUE.get(flag)
+    assert run_cli(base + ([flag] if value is None else [flag, value])) == 1
+    # the flag's config-file key is rejected as well
+    _, registry = build_parser()
+    dest = next(a.dest for a in registry["solve-q"]._actions
+                if flag in a.option_strings)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({dest: True if value is None else value}))
+    assert run_cli(base + ["--config", str(cfg)]) == 1
 
 
 def test_config_file_supplies_and_flags_override(tmp_path):

@@ -131,8 +131,11 @@ def test_forcing_integral_closed_form_and_quadrature():
 
 def test_zero_input_zero_image():
     b = BoundarySpec("simple")
-    assert apply_slope_kernel(PolySeries.zero(), b).is_zero
-    assert apply_membrane_kernel(PolySeries.zero(), b).is_zero
+    zero3 = PolySeries([0.0, 0.0, 0.0])
+    for z in (PolySeries.zero(), zero3, zero3.to_extended()):
+        for image in (apply_slope_kernel(z, b), apply_membrane_kernel(z, b)):
+            assert image.is_zero and image.degree == 0  # zero never grows
+            assert image.extended == z.extended
 
 
 def test_extended_path_matches_double_path():

@@ -1,4 +1,4 @@
-"""Dense polynomial series: canonical form, arithmetic, evaluation,
+"""Dense polynomial series: zero tests, arithmetic, evaluation,
 and the weighted integrals the solver leans on.  Oracles: numpy
 convolution, Horner in exact rational arithmetic, scipy quadrature."""
 
@@ -18,23 +18,21 @@ def _random_poly(rng, degree, extended=False):
     return p.to_extended() if extended else p
 
 
-def test_trailing_zeros_stripped_and_zero_is_canonical():
-    p = PolySeries([1.0, 2.0, 0.0, 0.0])
-    assert p.degree == 1
-    assert np.array_equal(p.coeffs, [1.0, 2.0])
-    z = PolySeries([0.0, 0.0])
-    assert z.is_zero and z.degree == 0 and z.valuation is None
-    assert PolySeries([]).is_zero
+# an all-zero series longer than one coefficient is still the zero polynomial
+ZERO3 = PolySeries([0.0, 0.0, 0.0])
 
 
-def test_tiny_magnitudes_flushed():
-    p = PolySeries([1e-310, 1.0])
-    assert p.coeffs[0] == 0.0
+def _padded(p, n):
+    return np.pad(p.coeffs, (0, n - p.coeffs.size))
 
 
 def test_valuation():
     assert PolySeries([0.0, 0.0, 3.0]).valuation == 2
     assert PolySeries([5.0]).valuation == 0
+    for z in (PolySeries([0.0, 0.0]), ZERO3, ZERO3.to_extended()):
+        assert z.is_zero and z.valuation is None
+    assert PolySeries([]).is_zero
+    assert not PolySeries([0.0, 0.0, 1e-310]).is_zero
 
 
 def test_immutability():
@@ -49,13 +47,10 @@ def test_add_sub_neg_match_numpy():
         f = _random_poly(rng, int(rng.integers(0, 8)))
         g = _random_poly(rng, int(rng.integers(0, 8)))
         n = max(f.coeffs.size, g.coeffs.size)
-        fa = np.pad(f.coeffs, (0, n - f.coeffs.size))
-        ga = np.pad(g.coeffs, (0, n - g.coeffs.size))
-        got = (f + g).coeffs
-        want = PolySeries(fa + ga).coeffs
-        assert np.allclose(got, want, rtol=0, atol=0)
-        assert np.allclose((f - g).coeffs, PolySeries(fa - ga).coeffs)
-        assert np.allclose((-f).coeffs, PolySeries(-fa).coeffs)
+        fa, ga = _padded(f, n), _padded(g, n)
+        assert np.array_equal(_padded(f + g, n), fa + ga)
+        assert np.array_equal(_padded(f - g, n), fa - ga)
+        assert np.array_equal(_padded(-f, n), -fa)
 
 
 def test_multiply_matches_convolution_and_truncates():
@@ -70,6 +65,9 @@ def test_multiply_matches_convolution_and_truncates():
         assert capped.degree <= cap
         assert np.allclose(capped.coeffs, PolySeries(full[: cap + 1]).coeffs,
                            rtol=1e-15)
+        for z in (ZERO3, ZERO3.to_extended()):
+            for prod in (z * f, f * z, multiply(z, g, max_degree=cap)):
+                assert prod.is_zero and prod.degree == 0
 
 
 def test_scalar_multiply_and_scaled():
@@ -84,12 +82,15 @@ def test_truncated():
     assert p.truncated(1).degree == 1
     assert np.array_equal(p.truncated(1).coeffs, [1.0, 2.0])
     assert p.truncated(9).degree == 3
+    # degree counts stored powers, trailing zeros included
+    assert PolySeries([1.0, 2.0, 0.0, 0.0]).degree == 3
 
 
 def test_divided_by_y_squared():
     p = PolySeries([0.0, 0.0, 2.0, 5.0])
     q = p.divided_by_y_squared()
     assert np.array_equal(q.coeffs, [2.0, 5.0])
+    assert ZERO3.divided_by_y_squared().is_zero
     with pytest.raises(ValueError):
         PolySeries([0.0, 1.0]).divided_by_y_squared()
 
@@ -141,6 +142,8 @@ def test_integral_over_y_against_quadrature():
                        0.0, 1.0)
         assert math.isclose(p.integral_over_y(), want, rel_tol=1e-10,
                             abs_tol=1e-12)
+    assert ZERO3.integral_over_y() == 0.0
+    assert ZERO3.to_extended().integral_over_y() == 0.0
 
 
 def test_poly_sum():
