@@ -200,3 +200,43 @@ def test_extended_deflection_edge_value_also_exact():
     coeffs = np.concatenate([[0.0], rng.uniform(-5, 5, 25)])
     w = deflection_series(PolySeries(coeffs).to_extended())
     assert w.evaluate(1.0) == 0.0
+
+
+def _dd_random_poly(rng, length):
+    # double-double coefficients whose low parts carry real information
+    hi = rng.uniform(-2.0, 2.0, length)
+    lo = hi * rng.uniform(-1.0, 1.0, length) * 1e-17
+    return PolySeries(hi, lo=lo)
+
+
+def test_extended_multiply_against_mpmath():
+    import mpmath
+
+    def exact(p):
+        return [mpmath.mpf(float(h)) + mpmath.mpf(float(l)) for h, l in zip(p.coeffs, p.lo)]
+
+    rng = np.random.default_rng(53)
+    f, g = _dd_random_poly(rng, 30), _dd_random_poly(rng, 30)
+    with mpmath.workdps(50):
+        fx, gx = exact(f), exact(g)
+        for cap in (None, 40):
+            prod = multiply(f, g, max_degree=cap)
+            size = 59 if cap is None else cap + 1
+            assert prod.extended and len(prod.coeffs) == size
+            for k, got in enumerate(exact(prod)):
+                terms = [fx[i] * gx[k - i] for i in range(max(0, k - 29), min(k, 29) + 1)]
+                scale = sum(abs(t) for t in terms)
+                assert abs(got - sum(terms)) <= scale * mpmath.mpf(1e-28), (cap, k)
+
+        p = _dd_random_poly(rng, 201)
+        px = exact(p)
+        ys = np.linspace(0.0, 1.0, 101)
+        vh, vl = p._horner_dd(ys)
+        for y, h, l in zip(ys, vh, vl):
+            y = mpmath.mpf(float(y))
+            want, scale = mpmath.mpf(0), mpmath.mpf(0)
+            for c in reversed(px):
+                want = want * y + c
+                scale = scale * y + abs(c)
+            got = mpmath.mpf(float(h)) + mpmath.mpf(float(l))
+            assert abs(got - want) <= scale * mpmath.mpf(1e-28), float(y)
