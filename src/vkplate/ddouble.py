@@ -65,10 +65,6 @@ def add_d(xh, xl, y):
     return quick_two_sum(s, e)
 
 
-def neg(xh, xl):
-    return -xh, -xl
-
-
 def mul(xh, xl, yh, yl):
     """Double-double * double-double."""
     p, e = two_prod(xh, yh)
@@ -106,25 +102,51 @@ def div_d(xh, xl, y):
     return add_d(s, f, q3)
 
 
+def reduce_rows(xh, xl, yh=None, yl=None):
+    """Compensated sum of x[i] * y**i down axis 0; returns one row as an (hi, lo) pair.
+
+    Without y this is the plain sum of the rows.  Each step adds rows
+    h.. (scaled by y**h) to rows 0.. in one vector ``add``, with h the
+    largest power of two below the row count; rows left unpaired are
+    carried, so n rows take ceil(log2 n) steps (pairwise summation, and
+    Estrin's scheme when y is given).  Scaling by y = 1 is exact, so a
+    sum with y = 1 equals the plain sum bit for bit.  Each row broadcasts
+    against y; an empty input sums to zero.
+    """
+    xh = np.asarray(xh, dtype=float)
+    xl = np.asarray(xl, dtype=float)
+    if yh is not None:
+        shape = np.broadcast_shapes(xh.shape, (1,) + np.shape(yh))
+        xh, xl = np.broadcast_to(xh, shape), np.broadcast_to(xl, shape)
+        # squares[j] is y**(2**j), the scale of step h = 2**j
+        squares = [(yh, yl)]
+        while 1 << len(squares) < len(xh):
+            squares.append(mul(*squares[-1], *squares[-1]))
+    if len(xh) == 0:
+        return np.zeros(xh.shape[1:]), np.zeros(xl.shape[1:])
+    while len(xh) > 1:
+        n = len(xh)
+        h = 1 << (n - 1).bit_length() - 1
+        th, tl = xh[h:], xl[h:]
+        if yh is not None:
+            th, tl = mul(th, tl, *squares[h.bit_length() - 1])
+        sh, sl = add(xh[: n - h], xl[: n - h], th, tl)
+        if n - h < h:
+            sh = np.concatenate([sh, xh[n - h : h]])
+            sl = np.concatenate([sl, xl[n - h : h]])
+        xh, xl = sh, sl
+    return xh[0], xl[0]
+
+
 def reduce_sum(xh, xl):
     """Pairwise compensated sum of a double-double vector; returns a scalar pair."""
-    xh = np.atleast_1d(np.asarray(xh, dtype=float))
-    xl = np.atleast_1d(np.asarray(xl, dtype=float))
-    while xh.size > 1:
-        half = xh.size // 2
-        h, l = add(xh[: 2 * half : 2], xl[: 2 * half : 2],
-                   xh[1 : 2 * half : 2], xl[1 : 2 * half : 2])
-        if xh.size % 2:
-            h = np.concatenate([h, xh[-1:]])
-            l = np.concatenate([l, xl[-1:]])
-        xh, xl = h, l
-    return float(xh[0]), float(xl[0])
+    h, l = reduce_rows(np.atleast_1d(xh), np.atleast_1d(xl))
+    return float(h), float(l)
 
 
 def dot(xh, xl, yh, yl):
     """Compensated dot product of two double-double vectors."""
-    h, l = mul(xh, xl, yh, yl)
-    return reduce_sum(h, l)
+    return reduce_sum(*mul(xh, xl, yh, yl))
 
 
 def to_float(xh, xl):

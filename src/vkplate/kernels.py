@@ -20,6 +20,7 @@ before anything else trusts it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,6 +77,27 @@ def kernel_value(y: float, e: float, w: float) -> float:
     return (w - 1.0) * y * e + min(y, e)
 
 
+@functools.lru_cache(maxsize=32)
+def _dd_weights(w: float, size: int):
+    """Read-only double-double lin and tail weights of monomials 0..size-1.
+
+    They depend only on (w, m), so the extended path computes them once
+    per edge weight and power-of-two length and slices them to n.
+    """
+    m = np.arange(size, dtype=float)
+    # the weight enters as the exact pair w - 1
+    wm1_h, wm1_l = dd.two_sum(w, -1.0)
+    a_h, a_l = dd.div_d(np.full(size, wm1_h), np.full(size, wm1_l), m + 2.0)
+    b_h, b_l = dd.div_floats(1.0, m + 1.0)
+    lin_h, lin_l = dd.add(a_h, a_l, b_h, b_l)
+    c_h, c_l = dd.div_floats(1.0, m + 2.0)
+    tail_h, tail_l = dd.add(c_h, c_l, -b_h, -b_l)
+    weights = (lin_h, lin_l, tail_h, tail_l)
+    for a in weights:
+        a.flags.writeable = False
+    return weights
+
+
 def _apply(f: PolySeries, w: float) -> PolySeries:
     """Integrate f against the kernel with edge weight w (closed form)."""
     if f.is_zero:
@@ -91,13 +113,7 @@ def _apply(f: PolySeries, w: float) -> PolySeries:
         # accumulated rounding from drifting over long runs
         out[1] += math.fsum(f.coeffs * lin)
         return PolySeries(out)
-    # extended path: the weight enters as the exact pair w - 1
-    wm1_h, wm1_l = dd.two_sum(w, -1.0)
-    a_h, a_l = dd.div_d(np.full(n, wm1_h), np.full(n, wm1_l), m + 2.0)
-    b_h, b_l = dd.div_floats(1.0, m + 1.0)
-    lin_h, lin_l = dd.add(a_h, a_l, b_h, b_l)
-    c_h, c_l = dd.div_floats(1.0, m + 2.0)
-    tail_h, tail_l = dd.add(c_h, c_l, -b_h, -b_l)
+    lin_h, lin_l, tail_h, tail_l = (a[:n] for a in _dd_weights(w, 1 << (n - 1).bit_length()))
     out_h = np.zeros(n + 2)
     out_l = np.zeros(n + 2)
     out_h[2:], out_l[2:] = dd.mul(f.coeffs, f.lo, tail_h, tail_l)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ddouble as dd
 
@@ -204,15 +205,26 @@ class PolySeries:
         return h
 
     def _horner_dd(self, ys):
-        """Double-double Horner; returns (hi, lo) arrays shaped like ys."""
+        """Double-double evaluation; returns (hi, lo) arrays shaped like ys.
+
+        p(y) = c_0 + y * q(y), with q evaluated by ``dd.reduce_rows``
+        (Estrin's scheme) and the constant term added last.  At y = 1, q
+        is exactly the plain ``reduce_rows`` sum of c_1..c_{n-1}, so a
+        constant set to minus that sum (see ``deflection_series``)
+        cancels to zero exactly.
+        """
         hi = self.coeffs
         lo = self.lo if self.lo is not None else np.zeros_like(hi)
-        acc_h = np.zeros_like(ys)
-        acc_l = np.zeros_like(ys)
-        for j in range(len(hi) - 1, -1, -1):
-            acc_h, acc_l = dd.mul_d(acc_h, acc_l, ys)
-            acc_h, acc_l = dd.add(acc_h, acc_l, hi[j], lo[j])
-        return acc_h, acc_l
+        ys = np.asarray(ys, dtype=float)
+        flat = ys.ravel()
+        out_h = np.empty(flat.size)
+        out_l = np.empty(flat.size)
+        for b in _blocks(flat.size, len(hi) - 1):
+            y = flat[b]
+            qh, ql = dd.reduce_rows(hi[1:, None], lo[1:, None], y, np.zeros_like(y))
+            qh, ql = dd.mul(qh, ql, y, 0.0)
+            out_h[b], out_l[b] = dd.add(qh, ql, hi[0], lo[0])
+        return out_h.reshape(ys.shape), out_l.reshape(ys.shape)
 
     def integral_over_y(self) -> float:
         """The weighted integral of f(y)/y over [0, 1].
@@ -233,6 +245,18 @@ class PolySeries:
         return dd.to_float(sh, sl)
 
 
+#: Elements per block of the broadcast double-double products in
+#: ``multiply`` and ``_horner_dd``; it bounds the memory their
+#: temporaries take.
+_BLOCK = 8192
+
+
+def _blocks(n: int, per: int):
+    """Slices covering ``range(n)``, each at most ``_BLOCK // per`` long."""
+    step = max(1, _BLOCK // max(per, 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 def multiply(f: PolySeries, g: PolySeries, max_degree: int | None = None) -> PolySeries:
     """Product of two series (coefficient convolution).
 
@@ -250,14 +274,23 @@ def multiply(f: PolySeries, g: PolySeries, max_degree: int | None = None) -> Pol
     fe, ge = f.to_extended(), g.to_extended()
     n, m = len(fe.coeffs), len(ge.coeffs)
     size = n + m - 1 if max_degree is None else min(n + m - 1, max_degree + 1)
+    rows = min(n, size)
+    # G[i, c] = g[c - i] (zero outside g) as a strided view of the
+    # zero-padded g; row i of f * G is f_i's contribution to the product
+    pad = np.zeros((2, rows - 1 + size))
+    keep = min(m, size)
+    pad[0, rows - 1 : rows - 1 + keep] = ge.coeffs[:keep]
+    pad[1, rows - 1 : rows - 1 + keep] = ge.lo[:keep]
+    Gh, Gl = sliding_window_view(pad, size, axis=1)[:, ::-1]
     out_h = np.zeros(size)
     out_l = np.zeros(size)
-    for i in range(min(n, size)):
-        stop = min(m, size - i)
-        ph, pl = dd.mul(ge.coeffs[:stop], ge.lo[:stop], fe.coeffs[i], fe.lo[i])
-        out_h[i : i + stop], out_l[i : i + stop] = dd.add(
-            out_h[i : i + stop], out_l[i : i + stop], ph, pl
-        )
+    for b in _blocks(rows, size):
+        cols = slice(b.start, min(size, b.stop - 1 + m))  # the columns rows b reach
+        ph, pl = dd.mul(Gh[b, cols], Gl[b, cols], fe.coeffs[b, None], fe.lo[b, None])
+        sh, sl = dd.reduce_rows(ph, pl)
+        if b.start:  # a later row block adds onto the earlier ones
+            sh, sl = dd.add(out_h[cols], out_l[cols], sh, sl)
+        out_h[cols], out_l[cols] = sh, sl
     return PolySeries(out_h, lo=out_l)
 
 
@@ -297,8 +330,6 @@ def deflection_series(phi: PolySeries) -> PolySeries:
     wh = np.zeros(len(phi.coeffs))
     wl = np.zeros(len(phi.coeffs))
     wh[1:], wl[1:] = dd.div_d(phi.coeffs[1:], phi.lo[1:], m.astype(float))
-    acc_h, acc_l = 0.0, 0.0
-    for j in range(len(wh) - 1, 0, -1):
-        acc_h, acc_l = dd.add(acc_h, acc_l, wh[j], wl[j])
-    wh[0], wl[0] = -acc_h, -acc_l
+    sh, sl = dd.reduce_rows(wh[1:], wl[1:])
+    wh[0], wl[0] = -sh, -sl
     return PolySeries(wh, lo=wl)

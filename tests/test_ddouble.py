@@ -107,11 +107,31 @@ def test_dot_matches_exact_rational_dot():
     assert abs(got - want) <= abs(want) * Fraction(1, 10**28)
 
 
+def test_reduce_rows_matches_exact_rational_column_sums():
+    # 37 rows: the first step pairs five of them and carries the other 27
+    rng = np.random.default_rng(19)
+    xh = rng.uniform(-3, 3, (37, 6)) * 10.0 ** rng.integers(-8, 8, (37, 6))
+    xl = xh * rng.uniform(-1, 1, xh.shape) * 1e-17
+    xh, xl = dd.two_sum(xh, xl)
+    h, lo = dd.reduce_rows(xh, xl)
+    assert h.shape == lo.shape == (6,)
+    for c in range(6):
+        want = sum((_exact(xh[r, c], xl[r, c]) for r in range(37)), Fraction(0))
+        scale = sum(abs(_exact(xh[r, c], xl[r, c])) for r in range(37))
+        assert abs(_exact(h[c], lo[c]) - want) <= scale * Fraction(1, 10**30)
+    # with y, the rows are weighted by y**i (Estrin's scheme)
+    y = 0.75
+    h, lo = dd.reduce_rows(xh, xl, y, 0.0)
+    for c in range(6):
+        terms = [_exact(xh[r, c], xl[r, c]) * Fraction(y) ** r for r in range(37)]
+        assert abs(_exact(h[c], lo[c]) - sum(terms)) <= sum(map(abs, terms)) / 10**30
+    zh, zl = dd.reduce_rows(np.zeros((0, 4)), np.zeros((0, 4)))
+    assert np.array_equal(zh, np.zeros(4)) and np.array_equal(zl, np.zeros(4))
+
+
 def test_neg_add_d_mul_d_shapes_and_values():
     xh = np.array([1.5, -2.0, 8.0])
     xl = np.array([1e-17, 0.0, -2e-17])
-    nh, nl = dd.neg(xh, xl)
-    assert np.array_equal(nh, -xh) and np.array_equal(nl, -xl)
     ah, al = dd.add_d(xh, xl, 2.5)
     for i in range(3):
         assert _exact(ah[i], al[i]) == _exact(xh[i], xl[i]) + Fraction(2.5)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vkplate import polyseries
 from vkplate.polyseries import PolySeries, deflection_series, multiply, poly_sum
 
 
@@ -209,7 +210,7 @@ def _dd_random_poly(rng, length):
     return PolySeries(hi, lo=lo)
 
 
-def test_extended_multiply_against_mpmath():
+def _check_extended_against_mpmath():
     import mpmath
 
     def exact(p):
@@ -240,3 +241,13 @@ def test_extended_multiply_against_mpmath():
                 scale = scale * y + abs(c)
             got = mpmath.mpf(float(h)) + mpmath.mpf(float(l))
             assert abs(got - want) <= scale * mpmath.mpf(1e-28), float(y)
+
+
+def test_extended_multiply_against_mpmath():
+    _check_extended_against_mpmath()
+
+
+def test_extended_blocks_against_mpmath(monkeypatch):
+    # blocks of one row in multiply and one point in _horner_dd
+    monkeypatch.setattr(polyseries, "_BLOCK", 97)
+    _check_extended_against_mpmath()
