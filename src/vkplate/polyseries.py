@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ddouble as dd
 
@@ -276,12 +275,18 @@ def multiply(f: PolySeries, g: PolySeries, max_degree: int | None = None) -> Pol
     size = n + m - 1 if max_degree is None else min(n + m - 1, max_degree + 1)
     rows = min(n, size)
     # G[i, c] = g[c - i] (zero outside g) as a strided view of the
-    # zero-padded g; row i of f * G is f_i's contribution to the product
+    # zero-padded g, row i starting i elements before g; row i of f * G
+    # is f_i's contribution to the product.  The view is built directly
+    # (ndarray checks it against the buffer's bounds) rather than with
+    # sliding_window_view, whose __array_interface__ round trip raised
+    # the process's peak memory by about 1 MB.
     pad = np.zeros((2, rows - 1 + size))
     keep = min(m, size)
     pad[0, rows - 1 : rows - 1 + keep] = ge.coeffs[:keep]
     pad[1, rows - 1 : rows - 1 + keep] = ge.lo[:keep]
-    Gh, Gl = sliding_window_view(pad, size, axis=1)[:, ::-1]
+    step = pad.itemsize
+    Gh, Gl = np.ndarray((2, rows, size), buffer=pad, offset=(rows - 1) * step,
+                        strides=(pad.strides[0], -step, step))
     out_h = np.zeros(size)
     out_l = np.zeros(size)
     for b in _blocks(rows, size):
@@ -311,7 +316,8 @@ def deflection_series(phi: PolySeries) -> PolySeries:
     With ``phi = sum c_m y**m`` (vanishing at 0), the deflection is
     ``W(y) = sum c_m (y**m - 1) / m``: monomial weights ``c_m / m`` plus
     a constant chosen so W(1) = 0.  The constant is accumulated in the
-    exact order Horner evaluation at y = 1 uses, so ``W.evaluate(1.0)``
+    exact order evaluation at y = 1 uses (Horner for float64,
+    ``dd.reduce_rows`` for double-double), so ``W.evaluate(1.0)``
     cancels to zero exactly, not merely to rounding.
     """
     if phi.is_zero:
