@@ -220,7 +220,7 @@ class PolySeries:
         out_l = np.empty(flat.size)
         for b in _blocks(flat.size, len(hi) - 1):
             y = flat[b]
-            qh, ql = dd.reduce_rows(hi[1:, None], lo[1:, None], y, np.zeros_like(y))
+            qh, ql = dd.reduce_rows(hi[1:, None], lo[1:, None], y, 0.0)
             qh, ql = dd.mul(qh, ql, y, 0.0)
             out_h[b], out_l[b] = dd.add(qh, ql, hi[0], lo[0])
         return out_h.reshape(ys.shape), out_l.reshape(ys.shape)
@@ -274,12 +274,10 @@ def multiply(f: PolySeries, g: PolySeries, max_degree: int | None = None) -> Pol
     n, m = len(fe.coeffs), len(ge.coeffs)
     size = n + m - 1 if max_degree is None else min(n + m - 1, max_degree + 1)
     rows = min(n, size)
-    # G[i, c] = g[c - i] (zero outside g) as a strided view of the
-    # zero-padded g, row i starting i elements before g; row i of f * G
-    # is f_i's contribution to the product.  The view is built directly
-    # (ndarray checks it against the buffer's bounds) rather than with
-    # sliding_window_view, whose __array_interface__ round trip raised
-    # the process's peak memory by about 1 MB.
+    # G[i, c] = g[c - i] (zero outside g): a view of the zero-padded g
+    # whose row i starts i elements before g, so row i of f * G is f_i's
+    # contribution.  ndarray checks the view against the buffer; the
+    # as_strided path of sliding_window_view cost about 1 MB of peak RSS.
     pad = np.zeros((2, rows - 1 + size))
     keep = min(m, size)
     pad[0, rows - 1 : rows - 1 + keep] = ge.coeffs[:keep]
