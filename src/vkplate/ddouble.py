@@ -102,24 +102,24 @@ def div_d(xh, xl, y):
     return add_d(s, f, q3)
 
 
-def reduce_rows(xh, xl, yh=None, yl=None):
+def reduce_rows(xh, xl, y=None):
     """Compensated sum of x[i] * y**i down axis 0; returns one row as an (hi, lo) pair.
 
-    Without y this is the plain sum of the rows.  Each step adds rows
-    h.. (scaled by y**h) to rows 0.. in one vector ``add``, with h the
-    largest power of two below the row count; rows left unpaired are
-    carried, so n rows take ceil(log2 n) steps (pairwise summation, and
-    Estrin's scheme when y is given).  Scaling by y = 1 is exact, so a
-    sum with y = 1 equals the plain sum bit for bit.  Each row broadcasts
-    against y; an empty input sums to zero.
+    Without y (a float or float array) this is the plain sum of the
+    rows.  Each step adds rows h.. (scaled by y**h) to rows 0.. in one
+    vector ``add``, with h the largest power of two below the row count;
+    rows left unpaired are carried, so n rows take ceil(log2 n) steps
+    (pairwise summation, and Estrin's scheme when y is given).  Scaling
+    by y = 1 is exact, so a sum with y = 1 equals the plain sum bit for
+    bit.  Each row broadcasts against y; an empty input sums to zero.
     """
     xh = np.asarray(xh, dtype=float)
     xl = np.asarray(xl, dtype=float)
-    if yh is not None:
-        shape = np.broadcast_shapes(xh.shape, (1,) + np.shape(yh))
+    if y is not None:
+        shape = np.broadcast_shapes(xh.shape, (1,) + np.shape(y))
         xh, xl = np.broadcast_to(xh, shape), np.broadcast_to(xl, shape)
         # squares[j] is y**(2**j), the scale of step h = 2**j
-        squares = [(yh, yl)]
+        squares = [(y, 0.0)]
         while 1 << len(squares) < len(xh):
             squares.append(mul(*squares[-1], *squares[-1]))
     if len(xh) == 0:
@@ -128,7 +128,7 @@ def reduce_rows(xh, xl, yh=None, yl=None):
         n = len(xh)
         h = 1 << (n - 1).bit_length() - 1
         th, tl = xh[h:], xl[h:]
-        if yh is not None:
+        if y is not None:
             th, tl = mul(th, tl, *squares[h.bit_length() - 1])
         sh, sl = add(xh[: n - h], xl[: n - h], th, tl)
         if n - h < h:

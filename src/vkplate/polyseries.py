@@ -220,8 +220,8 @@ class PolySeries:
         out_l = np.empty(flat.size)
         for b in _blocks(flat.size, len(hi) - 1):
             y = flat[b]
-            qh, ql = dd.reduce_rows(hi[1:, None], lo[1:, None], y, 0.0)
-            qh, ql = dd.mul(qh, ql, y, 0.0)
+            qh, ql = dd.reduce_rows(hi[1:, None], lo[1:, None], y)
+            qh, ql = dd.mul_d(qh, ql, y)
             out_h[b], out_l[b] = dd.add(qh, ql, hi[0], lo[0])
         return out_h.reshape(ys.shape), out_l.reshape(ys.shape)
 

@@ -121,7 +121,7 @@ def test_reduce_rows_matches_exact_rational_column_sums():
         assert abs(_exact(h[c], lo[c]) - want) <= scale * Fraction(1, 10**30)
     # with y, the rows are weighted by y**i (Estrin's scheme)
     y = 0.75
-    h, lo = dd.reduce_rows(xh, xl, y, 0.0)
+    h, lo = dd.reduce_rows(xh, xl, y)
     for c in range(6):
         terms = [_exact(xh[r, c], xl[r, c]) * Fraction(y) ** r for r in range(37)]
         assert abs(_exact(h[c], lo[c]) - sum(terms)) <= sum(map(abs, terms)) / 10**30
