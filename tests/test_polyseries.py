@@ -210,8 +210,12 @@ def _dd_random_poly(rng, length):
     return PolySeries(hi, lo=lo)
 
 
-def _check_extended_against_mpmath():
+@pytest.mark.parametrize("block", [polyseries._BLOCK, 97])
+def test_extended_multiply_against_mpmath(block, monkeypatch):
+    # block 97 gives one-row product blocks and one-point evaluation blocks
     import mpmath
+
+    monkeypatch.setattr(polyseries, "_BLOCK", block)
 
     def exact(p):
         return [mpmath.mpf(float(h)) + mpmath.mpf(float(l)) for h, l in zip(p.coeffs, p.lo)]
@@ -241,13 +245,3 @@ def _check_extended_against_mpmath():
                 scale = scale * y + abs(c)
             got = mpmath.mpf(float(h)) + mpmath.mpf(float(l))
             assert abs(got - want) <= scale * mpmath.mpf(1e-28), float(y)
-
-
-def test_extended_multiply_against_mpmath():
-    _check_extended_against_mpmath()
-
-
-def test_extended_blocks_against_mpmath(monkeypatch):
-    # blocks of one row in multiply and one point in _horner_dd
-    monkeypatch.setattr(polyseries, "_BLOCK", 97)
-    _check_extended_against_mpmath()
