@@ -4,14 +4,14 @@
     python3 tools/bench_record.py --out BENCH_6.json --label parent --checkout DIR
 
 Runs ``perfbench/run.py`` of the checkout (default: this repository) for
-``paper``, ``sweep`` and ``extended`` with one seed, once at ``--trace 0``
-and once at ``--trace 1``, and stores the ``{"detail": ...}`` line and the
-final ``{"correct", ..., "metrics"}`` line of each run under
-``runs[label][workload]["trace0"|"trace1"]`` of the output file.  Runs
-already in the file under other labels are kept, so the runs of a parent
-commit and of a change go into one file, one after the other.  The
-benchmark itself is not changed: its checks and bounds are those of the
-checkout.
+``paper``, ``sweep`` and ``extended`` at seed ``SEED`` for ``SECONDS`` each,
+once at ``--trace 0`` and once at ``--trace 1``, and stores the
+``{"detail": ...}`` line and the final ``{"correct", ..., "metrics"}`` line
+of each run under ``runs[label][workload]["trace0"|"trace1"]`` of the
+output file.  Runs already in the file under other labels are kept, so the
+runs of a parent commit and of a change go into one file, one after the
+other.  The benchmark itself is not changed: its checks and bounds are those
+of the checkout.
 
 Exits 1 when a run is not ``"correct": true``; the run is still recorded.
 """
@@ -26,6 +26,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("paper", "sweep", "extended")
+#: Fixed, so that the runs of every trajectory file can be compared.
+SEED = 1
+SECONDS = 35.0
 
 #: How the north star's named workloads map onto the benchmark's three.
 COVERAGE = {
@@ -38,10 +41,10 @@ COVERAGE = {
 }
 
 
-def run_one(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_one(checkout: Path, workload: str, trace: int) -> dict:
     """One benchmark run; returns its detail and result lines."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
     lines = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
     detail = next(line["detail"] for line in lines if "detail" in line)
@@ -60,18 +63,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--label", required=True)
     parser.add_argument("--checkout", type=Path, default=ROOT)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=35.0)
     args = parser.parse_args(argv)
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record["coverage"] = COVERAGE
-    runs = {"commit": commit_of(args.checkout), "seed": args.seed, "seconds": args.seconds}
+    runs = {"commit": commit_of(args.checkout), "seed": SEED, "seconds": SECONDS}
     correct = True
     for workload in WORKLOADS:
         runs[workload] = {}
         for trace in (0, 1):
-            run = run_one(args.checkout, workload, args.seed, args.seconds, trace)
+            run = run_one(args.checkout, workload, trace)
             runs[workload][f"trace{trace}"] = run
             correct &= run["result"]["correct"] is True
             print(f"{args.label} {workload} trace {trace}: correct={run['result']['correct']}",
