@@ -72,11 +72,6 @@ class BoundarySpec:
         return 2.0 / (1.0 - self.nu) if self.kind in ("clamped", "hinged") else 0.0
 
 
-def kernel_value(y: float, e: float, w: float) -> float:
-    """Pointwise kernel (w - 1)*y*e + min(y, e); used only as a test oracle hook."""
-    return (w - 1.0) * y * e + min(y, e)
-
-
 @functools.lru_cache(maxsize=32)
 def _dd_weights(w: float, size: int):
     """Read-only double-double lin and tail weights of monomials 0..size-1.

@@ -92,11 +92,6 @@ class PolySeries:
             return self
         return PolySeries(self.coeffs, lo=np.zeros_like(self.coeffs))
 
-    def to_double(self) -> "PolySeries":
-        if not self.extended:
-            return self
-        return PolySeries(self.coeffs + self.lo)
-
     def _parts(self, n):
         """Coefficients padded to length n, as an (hi, lo) pair (lo may be None)."""
         hi = np.zeros(n)
@@ -133,15 +128,6 @@ class PolySeries:
         if self.lo is None:
             return PolySeries(-self.coeffs)
         return PolySeries(-self.coeffs, lo=-self.lo)
-
-    def __mul__(self, other):
-        if isinstance(other, PolySeries):
-            return multiply(self, other)
-        if isinstance(other, (int, float)):
-            return self.scaled(float(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def scaled(self, alpha: float) -> "PolySeries":
         if self.lo is None:
@@ -191,17 +177,24 @@ class PolySeries:
         return float(h)
 
     def evaluate_grid(self, ys: np.ndarray) -> np.ndarray:
-        """Vector Horner evaluation; points must lie in [0, 1]."""
+        """Values at points of [0, 1], shaped like ys; other points raise ValueError.
+
+        A float64 series is c_0 plus one matrix-vector product of the
+        power table of the points (``_power_table``) with c_1..c_{n-1},
+        so a point y = 0 gives c_0 exactly; a double-double series goes
+        through ``_horner_dd``.
+        """
         ys = np.asarray(ys, dtype=float)
-        if ys.size and (ys.min() < 0.0 or ys.max() > 1.0):
-            raise ValueError("evaluation grid leaves [0, 1]")
-        if self.lo is None:
-            acc = np.zeros_like(ys)
-            for c in self.coeffs[::-1]:
-                acc = acc * ys + c
-            return acc
-        h, l = self._horner_dd(ys)
-        return h
+        c = self.coeffs
+        if self.lo is not None:
+            _check_unit(ys)
+            return self._horner_dd(ys)[0]
+        flat = ys.ravel()
+        out = np.empty(flat.size)
+        cols = 1 << (len(c) - 1).bit_length()  # the power of two >= len(c)
+        for b in _blocks(flat.size, cols, _TABLE_SIZE):
+            out[b] = c[0] + _power_table(flat[b], cols)[:, 1 : len(c)] @ c[1:]
+        return out.reshape(ys.shape)
 
     def _horner_dd(self, ys):
         """Double-double evaluation; returns (hi, lo) arrays shaped like ys.
@@ -218,7 +211,7 @@ class PolySeries:
         flat = ys.ravel()
         out_h = np.empty(flat.size)
         out_l = np.empty(flat.size)
-        for b in _blocks(flat.size, len(hi) - 1):
+        for b in _blocks(flat.size, len(hi) - 1, _BLOCK):
             y = flat[b]
             qh, ql = dd.reduce_rows(hi[1:, None], lo[1:, None], y)
             qh, ql = dd.mul_d(qh, ql, y)
@@ -249,11 +242,43 @@ class PolySeries:
 #: temporaries take.
 _BLOCK = 8192
 
+#: Doubles per power table: a longer grid (a large ``--grid-K``) is
+#: evaluated in blocks of points, each with a table of at most this size.
+_TABLE_SIZE = 1 << 18
+_MAX_TABLES = 4
+#: Power tables of the grids evaluated last, oldest first, keyed by the
+#: bytes of their points.
+_TABLES: dict[bytes, np.ndarray] = {}
 
-def _blocks(n: int, per: int):
-    """Slices covering ``range(n)``, each at most ``_BLOCK // per`` long."""
-    step = max(1, _BLOCK // max(per, 1))
+
+def _blocks(n: int, per: int, size: int):
+    """Slices covering ``range(n)``, each at most ``size // per`` long."""
+    step = max(1, size // max(per, 1))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _check_unit(ys: np.ndarray) -> None:
+    if not np.all((ys >= 0.0) & (ys <= 1.0)):  # NaN fails both comparisons
+        raise ValueError("evaluation grid leaves [0, 1]")
+
+
+def _power_table(ys: np.ndarray, cols: int) -> np.ndarray:
+    """Read-only table P[i, m] = ys[i]**m with at least cols columns.
+
+    The points are checked when a table is built.  Callers ask for a
+    power of two, so a series that grows on one grid rebuilds its table
+    about log2(degree) times; the last ``_MAX_TABLES`` grids keep theirs.
+    """
+    key = ys.tobytes()
+    table = _TABLES.pop(key, None)  # put back below as the newest entry
+    if table is None or table.shape[1] < cols:
+        _check_unit(ys)
+        table = np.vander(ys, cols, increasing=True)
+        table.flags.writeable = False
+    _TABLES[key] = table
+    if len(_TABLES) > _MAX_TABLES:
+        del _TABLES[next(iter(_TABLES))]
+    return table
 
 
 def multiply(f: PolySeries, g: PolySeries, max_degree: int | None = None) -> PolySeries:
@@ -287,7 +312,7 @@ def multiply(f: PolySeries, g: PolySeries, max_degree: int | None = None) -> Pol
                         strides=(pad.strides[0], -step, step))
     out_h = np.zeros(size)
     out_l = np.zeros(size)
-    for b in _blocks(rows, size):
+    for b in _blocks(rows, size, _BLOCK):
         cols = slice(b.start, min(size, b.stop - 1 + m))  # the columns rows b reach
         ph, pl = dd.mul(Gh[b, cols], Gl[b, cols], fe.coeffs[b, None], fe.lo[b, None])
         sh, sl = dd.reduce_rows(ph, pl)

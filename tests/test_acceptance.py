@@ -26,11 +26,12 @@ from vkplate.kernels import (
     BoundarySpec,
     apply_membrane_kernel,
     apply_slope_kernel,
-    kernel_value,
     load_forcing,
 )
 from vkplate.physics import deflection_scale
-from vkplate.polyseries import PolySeries, deflection_series
+from vkplate.polyseries import PolySeries, deflection_series, multiply
+
+from oracles import kernel_value
 
 
 def _check(label, ok, detail):
@@ -159,8 +160,8 @@ def _documented_load_series(load, c0, order, boundary):
     phi = [load_forcing(boundary).scaled(load * c0)]
     s = [PolySeries.zero()]
     for m in range(1, order + 1):
-        cross = sum((phi[i] * s[m - 1 - i] for i in range(m)), PolySeries.zero())
-        square = sum((phi[i] * phi[m - 1 - i] for i in range(m)), PolySeries.zero())
+        cross = sum((multiply(phi[i], s[m - 1 - i]) for i in range(m)), PolySeries.zero())
+        square = sum((multiply(phi[i], phi[m - 1 - i]) for i in range(m)), PolySeries.zero())
         r1 = phi[m - 1] + apply_slope_kernel(cross.divided_by_y_squared(), boundary)
         if m == 1:
             r1 = r1 + load_forcing(boundary).scaled(load)

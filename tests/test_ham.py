@@ -22,10 +22,11 @@ from vkplate.kernels import (
     apply_membrane_kernel,
     apply_slope_kernel,
     forcing_integral,
-    kernel_value,
     load_forcing,
 )
 from vkplate.polyseries import PolySeries, multiply
+
+from oracles import kernel_value
 
 B = BoundarySpec()  # clamped, nu = 0.3
 

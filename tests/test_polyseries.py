@@ -60,22 +60,22 @@ def test_multiply_matches_convolution_and_truncates():
         f = _random_poly(rng, int(rng.integers(0, 10)))
         g = _random_poly(rng, int(rng.integers(0, 10)))
         full = np.convolve(f.coeffs, g.coeffs)
-        assert np.allclose((f * g).coeffs, PolySeries(full).coeffs, rtol=1e-15)
+        assert np.allclose(multiply(f, g).coeffs, PolySeries(full).coeffs, rtol=1e-15)
         cap = 4
         capped = multiply(f, g, max_degree=cap)
         assert capped.degree <= cap
         assert np.allclose(capped.coeffs, PolySeries(full[: cap + 1]).coeffs,
                            rtol=1e-15)
         for z in (ZERO3, ZERO3.to_extended()):
-            for prod in (z * f, f * z, multiply(z, g, max_degree=cap)):
+            for prod in (multiply(z, f), multiply(f, z), multiply(z, g, max_degree=cap)):
                 assert prod.is_zero and prod.degree == 0
 
 
 def test_scalar_multiply_and_scaled():
     p = PolySeries([1.0, -2.0, 4.0])
-    assert np.array_equal((p * 0.5).coeffs, [0.5, -1.0, 2.0])
+    assert np.array_equal(p.scaled(0.5).coeffs, [0.5, -1.0, 2.0])
     assert np.array_equal(p.scaled(-1.0).coeffs, [-1.0, 2.0, -4.0])
-    assert (p * 0.0).is_zero
+    assert p.scaled(0.0).is_zero
 
 
 def test_truncated():
@@ -108,21 +108,81 @@ def test_evaluate_matches_exact_horner():
                                 abs_tol=1e-14)
 
 
-def test_evaluate_rejects_points_outside_unit_interval():
+def test_evaluate_rejects_points_outside_unit_interval(monkeypatch):
+    monkeypatch.setattr(polyseries, "_TABLES", {})
     p = PolySeries([1.0, 1.0])
-    with pytest.raises(ValueError):
-        p.evaluate(1.5)
-    with pytest.raises(ValueError):
-        p.evaluate(-0.1)
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            p.evaluate(bad)
+        for q in (p, p.to_extended()):
+            with pytest.raises(ValueError):
+                q.evaluate_grid([0.5, bad])
+    assert not polyseries._TABLES  # a rejected grid leaves no table behind
 
 
 def test_evaluate_grid_matches_pointwise():
+    # The grid path is one BLAS product, whose rounding depends on the
+    # number of rows, so it cannot be bit-equal to Horner at each point.
+    # Both paths must lie within gamma_(2n+1) * sum |c_m| y**m of the exact
+    # value (u = 2**-53), a bound that holds for any summation order.
     rng = np.random.default_rng(23)
-    p = _random_poly(rng, 9)
-    ys = np.linspace(0.0, 1.0, 33)
-    grid = p.evaluate_grid(ys)
-    for y, v in zip(ys, grid):
-        assert v == p.evaluate(float(y))
+    ys = np.linspace(0.0, 1.0, 101)
+    for degree in (0, 9, 40, 204):
+        p = _random_poly(rng, degree)
+        k = 2 * (degree + 1) + 1
+        gamma = Fraction(k, 2**53 - k)
+        grid = p.evaluate_grid(ys)
+        assert grid[0] == p.coeffs[0]  # bit for bit: y = 0 gives c_0
+        cs = [Fraction(float(c)) for c in p.coeffs[::-1]]
+        for y, v in zip(ys, grid):
+            fy = Fraction(float(y))
+            want = scale = Fraction(0)
+            for c in cs:
+                want = want * fy + c
+                scale = scale * fy + abs(c)
+            assert abs(Fraction(float(v)) - want) <= gamma * scale, (degree, y)
+            assert abs(Fraction(p.evaluate(float(y))) - want) <= gamma * scale
+
+
+def test_power_table_cache(monkeypatch):
+    monkeypatch.setattr(polyseries, "_TABLES", {})
+    tables = polyseries._TABLES
+    rng = np.random.default_rng(59)
+    short, long = _random_poly(rng, 9), _random_poly(rng, 200)
+    a = np.linspace(0.0, 1.0, 101)
+    b = a * a  # the same size, other points
+    va, vb = short.evaluate_grid(a), short.evaluate_grid(b)
+    assert list(tables) == [a.tobytes(), b.tobytes()]
+    for ys, table in zip((a, b), tables.values()):
+        assert table.shape == (101, 16) and not table.flags.writeable
+        assert np.array_equal(table[:, 1], ys)
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+    assert not np.array_equal(va, vb)
+
+    # a longer series grows the table of its grid in place of the old one
+    vlong = long.evaluate_grid(a)
+    assert len(tables) == 2 and tables[a.tobytes()].shape == (101, 256)
+    grown = short.evaluate_grid(a)
+    tables.clear()
+    assert np.array_equal(long.evaluate_grid(a), vlong)
+    tables.clear()
+    assert np.array_equal(short.evaluate_grid(a), grown)
+    assert np.array_equal(grown, va)
+
+    # bounded: the grids used longest ago are dropped
+    grids = [a ** (k + 1) for k in range(polyseries._MAX_TABLES + 2)]
+    for ys in grids:
+        short.evaluate_grid(ys)
+    assert list(tables) == [ys.tobytes() for ys in grids[-polyseries._MAX_TABLES:]]
+
+    # a grid longer than one table is evaluated in blocks of points
+    monkeypatch.setattr(polyseries, "_TABLE_SIZE", 16 * 7)
+    tables.clear()
+    blocked = short.evaluate_grid(a)
+    assert len(tables) == polyseries._MAX_TABLES
+    assert all(t.shape[0] <= 7 for t in tables.values())
+    assert np.allclose(blocked, va, rtol=1e-14, atol=1e-14)
 
 
 def test_product_evaluates_like_product_of_values():
@@ -130,7 +190,7 @@ def test_product_evaluates_like_product_of_values():
     f = _random_poly(rng, 7)
     g = _random_poly(rng, 6)
     for y in (0.2, 0.7, 1.0):
-        assert math.isclose((f * g).evaluate(y), f.evaluate(y) * g.evaluate(y),
+        assert math.isclose(multiply(f, g).evaluate(y), f.evaluate(y) * g.evaluate(y),
                             rel_tol=1e-12, abs_tol=1e-13)
 
 
@@ -181,8 +241,9 @@ def test_extended_round_trip_and_agreement():
     g = _random_poly(rng, 8)
     fe, ge = f.to_extended(), g.to_extended()
     assert fe.extended and not f.extended
-    prod = (fe * ge).to_double()
-    assert np.allclose(prod.coeffs, (f * g).coeffs, rtol=1e-15, atol=1e-300)
+    prod = multiply(fe, ge)
+    assert np.allclose(prod.coeffs + prod.lo, multiply(f, g).coeffs, rtol=1e-15,
+                       atol=1e-300)
     for y in (0.0, 0.4, 1.0):
         assert math.isclose(fe.evaluate(y), f.evaluate(y), rel_tol=1e-15,
                             abs_tol=1e-300)
