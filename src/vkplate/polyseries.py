@@ -242,12 +242,14 @@ class PolySeries:
 #: temporaries take.
 _BLOCK = 8192
 
-#: Doubles per power table: a longer grid (a large ``--grid-K``) is
-#: evaluated in blocks of points, each with a table of at most this size.
-_TABLE_SIZE = 1 << 18
-_MAX_TABLES = 4
-#: Power tables of the grids evaluated last, oldest first, keyed by the
-#: bytes of their points.
+#: Doubles per power table; a longer grid is evaluated in blocks of
+#: points, one table each.  120 KiB stays under glibc's default 128 KiB
+#: mmap threshold, so a table takes heap pages that are already resident;
+#: a 101 x 256 table mapped on its own added its whole size to peak RSS.
+_TABLE_SIZE = 15 << 10
+_MAX_TABLES = 8
+#: Power tables of the blocks of points evaluated last, oldest first,
+#: keyed by the bytes of their points.
 _TABLES: dict[bytes, np.ndarray] = {}
 
 
@@ -267,7 +269,8 @@ def _power_table(ys: np.ndarray, cols: int) -> np.ndarray:
 
     The points are checked when a table is built.  Callers ask for a
     power of two, so a series that grows on one grid rebuilds its table
-    about log2(degree) times; the last ``_MAX_TABLES`` grids keep theirs.
+    about log2(degree) times; the last ``_MAX_TABLES`` blocks of points
+    keep theirs.
     """
     key = ys.tobytes()
     table = _TABLES.pop(key, None)  # put back below as the newest entry

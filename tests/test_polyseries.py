@@ -146,6 +146,7 @@ def test_evaluate_grid_matches_pointwise():
 
 def test_power_table_cache(monkeypatch):
     monkeypatch.setattr(polyseries, "_TABLES", {})
+    monkeypatch.setattr(polyseries, "_TABLE_SIZE", 101 * 256)  # one table per grid
     tables = polyseries._TABLES
     rng = np.random.default_rng(59)
     short, long = _random_poly(rng, 9), _random_poly(rng, 200)
