@@ -179,10 +179,10 @@ class PolySeries:
     def evaluate_grid(self, ys: np.ndarray) -> np.ndarray:
         """Values at points of [0, 1], shaped like ys; other points raise ValueError.
 
-        A float64 series is c_0 plus one matrix-vector product of the
-        power table of the points (``_power_table``) with c_1..c_{n-1},
-        so a point y = 0 gives c_0 exactly; a double-double series goes
-        through ``_horner_dd``.
+        A float64 series is c_0 plus the vector-matrix product of
+        c_1..c_{n-1} with the points' power table (``_power_table``, one
+        per block of points), so a point y = 0 gives c_0 exactly; a
+        double-double series goes through ``_horner_dd``.
         """
         ys = np.asarray(ys, dtype=float)
         c = self.coeffs
@@ -191,9 +191,10 @@ class PolySeries:
             return self._horner_dd(ys)[0]
         flat = ys.ravel()
         out = np.empty(flat.size)
-        cols = 1 << (len(c) - 1).bit_length()  # the power of two >= len(c)
-        for b in _blocks(flat.size, cols, _TABLE_SIZE):
-            out[b] = c[0] + _power_table(flat[b], cols)[:, 1 : len(c)] @ c[1:]
+        powers = 1 << max(len(c) - 2, 0).bit_length()  # a power of two >= len(c) - 1
+        for b in _blocks(flat.size, powers, _TABLE_SIZE):
+            # np.dot on contiguous rows: ``@`` here paged in 68 KB more code
+            out[b] = c[0] + np.dot(c[1:], _power_table(flat[b], powers)[: len(c) - 1])
         return out.reshape(ys.shape)
 
     def _horner_dd(self, ys):
@@ -245,7 +246,7 @@ _BLOCK = 8192
 #: Doubles per power table; a longer grid is evaluated in blocks of
 #: points, one table each.  120 KiB stays under glibc's default 128 KiB
 #: mmap threshold, so a table takes heap pages that are already resident;
-#: a 101 x 256 table mapped on its own added its whole size to peak RSS.
+#: a 256 x 101 table mapped on its own added its whole size to peak RSS.
 _TABLE_SIZE = 15 << 10
 _MAX_TABLES = 8
 #: Power tables of the blocks of points evaluated last, oldest first,
@@ -264,8 +265,8 @@ def _check_unit(ys: np.ndarray) -> None:
         raise ValueError("evaluation grid leaves [0, 1]")
 
 
-def _power_table(ys: np.ndarray, cols: int) -> np.ndarray:
-    """Read-only table P[i, m] = ys[i]**m with at least cols columns.
+def _power_table(ys: np.ndarray, powers: int) -> np.ndarray:
+    """Read-only table P[m, i] = ys[i]**(m + 1) with at least ``powers`` rows.
 
     The points are checked when a table is built.  Callers ask for a
     power of two, so a series that grows on one grid rebuilds its table
@@ -274,9 +275,9 @@ def _power_table(ys: np.ndarray, cols: int) -> np.ndarray:
     """
     key = ys.tobytes()
     table = _TABLES.pop(key, None)  # put back below as the newest entry
-    if table is None or table.shape[1] < cols:
+    if table is None or len(table) < powers:
         _check_unit(ys)
-        table = np.vander(ys, cols, increasing=True)
+        table = np.cumprod(np.broadcast_to(ys, (powers, ys.size)), axis=0)
         table.flags.writeable = False
     _TABLES[key] = table
     if len(_TABLES) > _MAX_TABLES:

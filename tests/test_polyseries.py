@@ -146,7 +146,7 @@ def test_evaluate_grid_matches_pointwise():
 
 def test_power_table_cache(monkeypatch):
     monkeypatch.setattr(polyseries, "_TABLES", {})
-    monkeypatch.setattr(polyseries, "_TABLE_SIZE", 101 * 256)  # one table per grid
+    monkeypatch.setattr(polyseries, "_TABLE_SIZE", 256 * 101)  # one table per grid
     tables = polyseries._TABLES
     rng = np.random.default_rng(59)
     short, long = _random_poly(rng, 9), _random_poly(rng, 200)
@@ -155,15 +155,15 @@ def test_power_table_cache(monkeypatch):
     va, vb = short.evaluate_grid(a), short.evaluate_grid(b)
     assert list(tables) == [a.tobytes(), b.tobytes()]
     for ys, table in zip((a, b), tables.values()):
-        assert table.shape == (101, 16) and not table.flags.writeable
-        assert np.array_equal(table[:, 1], ys)
+        assert table.shape == (16, 101) and not table.flags.writeable
+        assert np.array_equal(table[0], ys) and np.array_equal(table[1], ys * ys)
         with pytest.raises(ValueError):
             table[0, 0] = 2.0
     assert not np.array_equal(va, vb)
 
     # a longer series grows the table of its grid in place of the old one
     vlong = long.evaluate_grid(a)
-    assert len(tables) == 2 and tables[a.tobytes()].shape == (101, 256)
+    assert len(tables) == 2 and tables[a.tobytes()].shape == (256, 101)
     grown = short.evaluate_grid(a)
     tables.clear()
     assert np.array_equal(long.evaluate_grid(a), vlong)
@@ -182,7 +182,7 @@ def test_power_table_cache(monkeypatch):
     tables.clear()
     blocked = short.evaluate_grid(a)
     assert len(tables) == polyseries._MAX_TABLES
-    assert all(t.shape[0] <= 7 for t in tables.values())
+    assert all(t.shape[1] <= 7 for t in tables.values())
     assert np.allclose(blocked, va, rtol=1e-14, atol=1e-14)
 
 
