@@ -121,8 +121,8 @@ def test_evaluate_rejects_points_outside_unit_interval(monkeypatch):
 
 
 def test_evaluate_grid_matches_pointwise():
-    # The grid path is one BLAS product, whose rounding depends on the
-    # number of rows, so it cannot be bit-equal to Horner at each point.
+    # The grid path is a BLAS product, whose rounding depends on how many
+    # points it takes at once, so it cannot be bit-equal to Horner.
     # Both paths must lie within gamma_(2n+1) * sum |c_m| y**m of the exact
     # value (u = 2**-53), a bound that holds for any summation order.
     rng = np.random.default_rng(23)
