@@ -85,7 +85,7 @@ def solve(problem: GivenDeflectionProblem) -> RunReport:
     s0 = PolySeries.zero(extended=extended)
     if extended:
         phi0 = phi0.to_extended()
-    state = HomotopyState.for_deflection(phi0, s0, a, problem.c1, problem.c2)
+    state = HomotopyState.for_deflection(phi0.array, s0.array, a, problem.c1, problem.c2)
 
     worst_defect = 0.0
 

@@ -79,7 +79,7 @@ def solve(problem: GivenLoadProblem) -> RunReport:
     s0 = PolySeries.zero(extended=extended)
     if extended:
         phi0 = phi0.to_extended()
-    state = HomotopyState.for_load(phi0, s0, q, problem.c1, problem.c2)
+    state = HomotopyState.for_load(phi0.array, s0.array, q, problem.c1, problem.c2)
 
     mode = problem.mode
     passes = homotopy_passes(state, mode, b)

@@ -14,8 +14,10 @@ right-hand sides of the orders below k, scaled by the control values
 ``c1`` and ``c2``.  The first order carries the full forcing and
 inherits nothing; later orders inherit the previous term unchanged.
 
-Two consumption patterns sit on top of the raw stepping
-(``homotopy_passes``):
+The recurrence runs on plain coefficient arrays (float64, or the (2, n)
+double-double stack of :mod:`.polyseries`); a ``PolySeries`` is built
+only where a pass leaves it.  Two consumption patterns sit on top of the
+raw stepping (``homotopy_passes``):
 
 * a plain series: run orders 1..n once and sum, and
 * an iterated scheme (``iterate_pass``): run a small number of orders
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -46,11 +49,22 @@ from .kernels import (
     BoundarySpec,
     apply_membrane_kernel,
     apply_slope_kernel,
+    forcing,
     forcing_integral,
+    kernel_map,
     load_forcing,
 )
 from .physics import w_over_h
-from .polyseries import PolySeries, deflection_series, multiply, poly_sum
+from .polyseries import (
+    PolySeries,
+    add,
+    convolve,
+    deflection_series,
+    multiply,
+    over_y_squared,
+    scale,
+    weighted_integral,
+)
 from .report import IterationRecord, RunReport
 
 
@@ -62,9 +76,10 @@ class OrderingError(RuntimeError):
 class HomotopyState:
     """Solution terms accumulated through some deformation order.
 
-    ``phi_terms[k]`` / ``s_terms[k]`` hold order k of the two series.
-    ``q_terms`` is the load expansion: a frozen single entry in
-    prescribed-load mode, one solved entry per order in
+    ``phi_terms[k]`` / ``s_terms[k]`` hold order k of the two series as
+    coefficient arrays (float64, or the ``(2, n)`` double-double stack;
+    see :mod:`.polyseries`).  ``q_terms`` is the load expansion: a frozen
+    single entry in prescribed-load mode, one solved entry per order in
     prescribed-deflection mode.
     """
 
@@ -91,54 +106,33 @@ class HomotopyState:
     def order(self) -> int:
         return len(self.phi_terms) - 1
 
-    def partial_sums(self):
-        return poly_sum(self.phi_terms), poly_sum(self.s_terms)
 
+def _coupling_sum(f_terms, g_terms, k, cap):
+    """Convolution sum f_i * g_(k-1-i) over i = 0..k-1, capped in degree.
 
-def _scaled_forcing(boundary, coef, extended):
-    lf = load_forcing(boundary)
-    if extended:
-        lf = lf.to_extended()
-    return lf.scaled(coef)
-
-
-def _cross_sum(phi_terms, s_terms, k, cap):
-    """Convolution sum phi_i * s_(k-1-i) over i = 0..k-1, capped in degree."""
+    For a self-coupling (``g_terms is f_terms``) symmetric pairs share one
+    product, doubled.
+    """
+    square = f_terms is g_terms
     acc = None
-    for i in range(k):
-        p = multiply(phi_terms[i], s_terms[k - 1 - i], max_degree=cap)
-        acc = p if acc is None else acc + p
+    for i in range((k + 1) // 2 if square else k):
+        p = convolve(f_terms[i], g_terms[k - 1 - i], cap)
+        if square and 2 * i != k - 1:
+            p = scale(p, 2.0)
+        acc = p if acc is None else add(acc, p)
     return acc
 
 
-def _square_sum(phi_terms, k, cap):
-    """Convolution sum phi_i * phi_(k-1-i); symmetric pairs share one product."""
-    acc = None
-    for i in range(k):
-        j = k - 1 - i
-        if i > j:
-            break
-        p = multiply(phi_terms[i], phi_terms[j], max_degree=cap)
-        if i != j:
-            p = p.scaled(2.0)
-        acc = p if acc is None else acc + p
-    return acc
-
-
-def _slope_base(state, k, boundary, cap):
+def _slope_base(phi_terms, s_terms, k, boundary, cap):
     """phi_(k-1) plus the kernel image of the coupling sum (no forcing)."""
-    prod = _cross_sum(state.phi_terms, state.s_terms, k, cap)
-    return state.phi_terms[k - 1] + apply_slope_kernel(
-        prod.divided_by_y_squared(), boundary
-    )
+    prod = _coupling_sum(phi_terms, s_terms, k, cap)
+    return add(phi_terms[k - 1], kernel_map(over_y_squared(prod), boundary.lam))
 
 
-def _membrane_base(state, k, boundary, cap):
+def _membrane_base(phi_terms, s_terms, k, boundary, cap):
     """s_(k-1) minus half the kernel image of the slope self-coupling."""
-    sq = _square_sum(state.phi_terms, k, cap)
-    return state.s_terms[k - 1] - apply_membrane_kernel(
-        sq.divided_by_y_squared(), boundary
-    ).scaled(0.5)
+    sq = _coupling_sum(phi_terms, phi_terms, k, cap)
+    return add(s_terms[k - 1], -scale(kernel_map(over_y_squared(sq), boundary.mu), 0.5))
 
 
 def deformation_step(state: HomotopyState, k: int, boundary: BoundarySpec,
@@ -152,37 +146,33 @@ def deformation_step(state: HomotopyState, k: int, boundary: BoundarySpec,
     truncated assembly, so the side condition holds exactly (to
     rounding) for the series that is actually stored.
     """
-    if len(state.phi_terms) != k or len(state.s_terms) != k:
+    phi, s = state.phi_terms, state.s_terms
+    if len(phi) != k or len(s) != k:
         raise OrderingError(
             f"step to order {k} expects exactly orders 0..{k - 1} present"
         )
     cap = None if truncation is None else truncation + 2
-    ext = state.phi_terms[0].extended
+    keep = slice(None) if truncation is None else slice(truncation + 1)
 
-    base = _slope_base(state, k, boundary, cap)
-    if truncation is not None:
-        base = base.truncated(truncation)
+    base = _slope_base(phi, s, k, boundary, cap)[..., keep]
     if state.fixed_load:
         coef = state.q_terms[0] if k == 1 else 0.0
     else:
         if len(state.q_terms) != k - 1:
             raise OrderingError("load terms out of sequence")
-        coef = -base.integral_over_y() / forcing_integral(boundary)
+        coef = -weighted_integral(base) / forcing_integral(boundary)
         state.q_terms.append(coef)
-    d1 = base if coef == 0.0 else base + _scaled_forcing(boundary, coef, ext)
-
-    d2 = _membrane_base(state, k, boundary, cap)
-    if truncation is not None:
-        d2 = d2.truncated(truncation)
+    d1 = base if coef == 0.0 else add(base, forcing(boundary, coef, base.ndim == 2))
+    d2 = _membrane_base(phi, s, k, boundary, cap)[..., keep]
 
     if k == 1:  # the first order inherits no earlier term
-        phi_k = d1.scaled(state.c1)
-        s_k = d2.scaled(state.c2)
+        phi_k = scale(d1, state.c1)
+        s_k = scale(d2, state.c2)
     else:
-        phi_k = state.phi_terms[k - 1] + d1.scaled(state.c1)
-        s_k = state.s_terms[k - 1] + d2.scaled(state.c2)
-    state.phi_terms.append(phi_k)
-    state.s_terms.append(s_k)
+        phi_k = add(phi[k - 1], scale(d1, state.c1))
+        s_k = add(s[k - 1], scale(d2, state.c2))
+    phi.append(phi_k)
+    s.append(s_k)
     return phi_k, s_k
 
 
@@ -199,7 +189,7 @@ def iterate_pass(state: HomotopyState, order: int, truncation: int | None,
         raise OrderingError(f"pass order must be >= 1, got {order}")
     for k in range(1, order + 1):
         deformation_step(state, k, boundary, truncation)
-    phi0, s0 = state.partial_sums()
+    phi0, s0 = reduce(add, state.phi_terms), reduce(add, state.s_terms)
     if state.fixed_load:
         return HomotopyState.for_load(phi0, s0, state.q_terms[0],
                                       state.c1, state.c2)
@@ -216,20 +206,22 @@ def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec):
     1..order; an ``IterateMode`` yields the collapsed state after each
     pass, up to the pass budget.  ``q`` is the load the pair is scored
     against: the prescribed load, or the summed load expansion so far.
+    ``phi`` and ``s`` are ``PolySeries``; the state holds arrays.
     """
+    series = PolySeries.from_array
     if isinstance(mode, IterateMode):
         for it in range(1, mode.max_iter + 1):
             state = iterate_pass(state, mode.order, mode.truncation, boundary)
-            yield (it, it * mode.order, state.phi_terms[0], state.s_terms[0],
-                   state.load_estimate)
+            yield (it, it * mode.order, series(state.phi_terms[0]),
+                   series(state.s_terms[0]), state.load_estimate)
         return
     phi, s = state.phi_terms[0], state.s_terms[0]
     for k in range(1, mode.order + 1):
         deformation_step(state, k, boundary)
-        phi = phi + state.phi_terms[k]
-        s = s + state.s_terms[k]
+        phi = add(phi, state.phi_terms[k])
+        s = add(s, state.s_terms[k])
         q = state.q_terms[0] if state.fixed_load else math.fsum(state.q_terms)
-        yield k, k, phi, s, q
+        yield k, k, series(phi), series(s), q
 
 
 def staggered_pass(state: HomotopyState, boundary: BoundarySpec,
@@ -244,21 +236,15 @@ def staggered_pass(state: HomotopyState, boundary: BoundarySpec,
     if not state.fixed_load:
         raise OrderingError("staggered pass is defined for prescribed-load states")
     cap = None if truncation is None else truncation + 2
-    d2 = _membrane_base(state, 1, boundary, cap)
-    if truncation is not None:
-        d2 = d2.truncated(truncation)
-    s_star = state.s_terms[0] + d2.scaled(state.c2)
+    keep = slice(None) if truncation is None else slice(truncation + 1)
+    phi0, s0, load = state.phi_terms[0], state.s_terms[0], state.q_terms[0]
+    d2 = _membrane_base([phi0], [s0], 1, boundary, cap)[..., keep]
+    s_star = add(s0, scale(d2, state.c2))
 
-    mid = HomotopyState.for_load(state.phi_terms[0], s_star, state.q_terms[0],
-                                 state.c1, state.c2)
-    base = _slope_base(mid, 1, boundary, cap)
-    if truncation is not None:
-        base = base.truncated(truncation)
-    d1 = base + _scaled_forcing(boundary, state.q_terms[0],
-                                base.extended)
-    phi_star = state.phi_terms[0] + d1.scaled(state.c1)
-    return HomotopyState.for_load(phi_star, s_star, state.q_terms[0],
-                                  state.c1, state.c2)
+    base = _slope_base([phi0], [s_star], 1, boundary, cap)[..., keep]
+    d1 = add(base, forcing(boundary, load, base.ndim == 2))
+    phi_star = add(phi0, scale(d1, state.c1))
+    return HomotopyState.for_load(phi_star, s_star, load, state.c1, state.c2)
 
 
 @dataclass
@@ -286,7 +272,8 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
     ext = phi.extended or s.extended
     n1 = phi + apply_slope_kernel(multiply(phi, s).divided_by_y_squared(), boundary)
     if load != 0.0:
-        n1 = n1 + _scaled_forcing(boundary, load, ext)
+        lf = load_forcing(boundary)
+        n1 = n1 + (lf.to_extended() if ext else lf).scaled(load)
     n2 = s - apply_membrane_kernel(
         multiply(phi, phi).divided_by_y_squared(), boundary
     ).scaled(0.5)

@@ -124,16 +124,16 @@ def equivalence_check(load: float, theta: float, iterations: int = 50,
     """
     interp = initial_state(load, theta, boundary)
     ham_state = HomotopyState.for_load(
-        load_forcing(boundary).scaled(-theta * load),
-        PolySeries.zero(), load, -theta, -1.0,
+        load_forcing(boundary).scaled(-theta * load).array,
+        PolySeries.zero().array, load, -theta, -1.0,
     )
     ys = np.linspace(0.0, 1.0, 101)
     worst = 0.0
     for _ in range(iterations):
         interp = step(interp, truncation)
         ham_state = staggered_pass(ham_state, boundary, truncation)
-        pairs = ((interp.phi, ham_state.phi_terms[0]),
-                 (interp.psi, ham_state.s_terms[0]))
+        pairs = ((interp.phi, PolySeries(ham_state.phi_terms[0])),
+                 (interp.psi, PolySeries(ham_state.s_terms[0])))
         for ours, theirs in pairs:
             ref = float(np.max(np.abs(theirs.evaluate_grid(ys))))
             gap = float(np.max(np.abs((ours - theirs).evaluate_grid(ys))))

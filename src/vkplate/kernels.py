@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ddouble as dd
-from .polyseries import PolySeries
+from .polyseries import PolySeries, scale, weighted_integral, widen
 
 #: Supported support conditions at the plate edge.
 BOUNDARY_KINDS = ("clamped", "moveable", "simple", "hinged")
@@ -72,66 +72,71 @@ class BoundarySpec:
         return 2.0 / (1.0 - self.nu) if self.kind in ("clamped", "hinged") else 0.0
 
 
-@functools.lru_cache(maxsize=32)
-def _dd_weights(w: float, size: int):
-    """Read-only double-double lin and tail weights of monomials 0..size-1.
+@functools.lru_cache(maxsize=64)
+def _weights(w: float, size: int, extended: bool):
+    """Read-only lin and tail weights of monomials 0..size-1, as (lin, tail)
+    or, in double-double, (lin_h, lin_l, tail_h, tail_l).
 
-    They depend only on (w, m), so the extended path computes them once
-    per edge weight and power-of-two length and slices them to n.
+    They depend only on (w, m), so they are computed once per edge weight
+    and power-of-two length and sliced to n.
     """
     m = np.arange(size, dtype=float)
-    # the weight enters as the exact pair w - 1
-    wm1_h, wm1_l = dd.two_sum(w, -1.0)
-    a_h, a_l = dd.div_d(np.full(size, wm1_h), np.full(size, wm1_l), m + 2.0)
-    b_h, b_l = dd.div_floats(1.0, m + 1.0)
-    lin_h, lin_l = dd.add(a_h, a_l, b_h, b_l)
-    c_h, c_l = dd.div_floats(1.0, m + 2.0)
-    tail_h, tail_l = dd.add(c_h, c_l, -b_h, -b_l)
-    weights = (lin_h, lin_l, tail_h, tail_l)
+    if extended:
+        # the weight enters as the exact pair w - 1
+        wm1_h, wm1_l = dd.two_sum(w, -1.0)
+        a_h, a_l = dd.div_d(np.full(size, wm1_h), np.full(size, wm1_l), m + 2.0)
+        b_h, b_l = dd.div_floats(1.0, m + 1.0)
+        c_h, c_l = dd.div_floats(1.0, m + 2.0)
+        weights = dd.add(a_h, a_l, b_h, b_l) + dd.add(c_h, c_l, -b_h, -b_l)
+    else:
+        weights = ((w - 1.0) / (m + 2.0) + 1.0 / (m + 1.0), 1.0 / (m + 2.0) - 1.0 / (m + 1.0))
     for a in weights:
         a.flags.writeable = False
     return weights
 
 
-def _apply(f: PolySeries, w: float) -> PolySeries:
-    """Integrate f against the kernel with edge weight w (closed form)."""
-    if f.is_zero:
-        return PolySeries.zero(extended=f.extended)
-    n = len(f.coeffs)
-    m = np.arange(n, dtype=float)
-    if f.lo is None:
-        lin = (w - 1.0) / (m + 2.0) + 1.0 / (m + 1.0)
-        tail = 1.0 / (m + 2.0) - 1.0 / (m + 1.0)
-        out = np.zeros(n + 2)
-        out[2:] = f.coeffs * tail
+def kernel_map(f: np.ndarray, w: float) -> np.ndarray:
+    """Integrate a coefficient array against the kernel of edge weight w; zero maps to [0]."""
+    if not np.count_nonzero(f):
+        return np.zeros(f.shape[:-1] + (1,))
+    n = f.shape[-1]
+    weights = [a[:n] for a in _weights(w, 1 << (n - 1).bit_length(), f.ndim == 2)]
+    out = np.zeros(f.shape[:-1] + (n + 2,))
+    if f.ndim == 1:
+        lin, tail = weights
+        out[2:] = f * tail
         # all input monomials contribute to the linear term; fsum keeps the
         # accumulated rounding from drifting over long runs
-        out[1] += math.fsum(f.coeffs * lin)
-        return PolySeries(out)
-    lin_h, lin_l, tail_h, tail_l = (a[:n] for a in _dd_weights(w, 1 << (n - 1).bit_length()))
-    out_h = np.zeros(n + 2)
-    out_l = np.zeros(n + 2)
-    out_h[2:], out_l[2:] = dd.mul(f.coeffs, f.lo, tail_h, tail_l)
-    s_h, s_l = dd.dot(f.coeffs, f.lo, lin_h, lin_l)
-    out_h[1], out_l[1] = dd.add(out_h[1], out_l[1], s_h, s_l)
-    return PolySeries(out_h, lo=out_l)
+        out[1] += math.fsum((f * lin).tolist())
+        return out
+    lin_h, lin_l, tail_h, tail_l = weights
+    out[:, 2:] = dd.mul(f[0], f[1], tail_h, tail_l)
+    out[:, 1] = dd.add(out[0, 1], out[1, 1], *dd.dot(f[0], f[1], lin_h, lin_l))
+    return out
 
 
 def apply_slope_kernel(f: PolySeries, boundary: BoundarySpec) -> PolySeries:
     """Kernel of the slope equation acting on a series (edge weight lam)."""
-    return _apply(f, boundary.lam)
+    return PolySeries.from_array(kernel_map(f.array, boundary.lam))
 
 
 def apply_membrane_kernel(f: PolySeries, boundary: BoundarySpec) -> PolySeries:
     """Kernel of the membrane-force equation acting on a series (edge weight mu)."""
-    return _apply(f, boundary.mu)
+    return PolySeries.from_array(kernel_map(f.array, boundary.mu))
+
+
+def forcing(boundary: BoundarySpec, load: float = 1.0, extended: bool = False) -> np.ndarray:
+    """Coefficients of a load's image, load * ((lam + 1) y - y**2) / 2, scaled in
+    double-double when ``extended``."""
+    unit = np.array([0.0, (boundary.lam + 1.0) / 2.0, -0.5])
+    return scale(widen(unit) if extended else unit, load)
 
 
 def load_forcing(boundary: BoundarySpec) -> PolySeries:
     """Image of a unit load under the slope kernel: ((lam + 1) y - y**2) / 2."""
-    return PolySeries([0.0, (boundary.lam + 1.0) / 2.0, -0.5])
+    return PolySeries(forcing(boundary))
 
 
 def forcing_integral(boundary: BoundarySpec) -> float:
     """Weighted integral of the unit-load image, (2 lam + 1) / 4."""
-    return load_forcing(boundary).integral_over_y()
+    return weighted_integral(forcing(boundary))

@@ -13,6 +13,11 @@ Coefficients are float64 by default.  Passing a companion ``lo`` array
 turns each coefficient into a double-double value (see
 :mod:`vkplate.ddouble`); every operation then tracks the compensated
 parts, which is what the extended-precision solver mode runs on.
+
+The arithmetic is written once, on coefficient arrays (``PolySeries.array``:
+float64 ``coeffs``, or the (2, n) stack of ``coeffs`` over ``lo``); the
+methods call the module functions that take them, and the homotopy
+recurrence of :mod:`vkplate.ham` runs on such arrays directly.
 """
 
 from __future__ import annotations
@@ -76,31 +81,26 @@ class PolySeries:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs.any() and (self.lo is None or not self.lo.any())
+        return not np.count_nonzero(self.array)
 
     @property
     def valuation(self):
         """Index of the lowest nonzero coefficient, or None for the zero polynomial."""
-        keep = self.coeffs != 0.0
-        if self.lo is not None:
-            keep = keep | (self.lo != 0.0)
-        nz = np.nonzero(keep)[0]
+        nz = np.flatnonzero(np.atleast_2d(self.array).any(axis=0))
         return int(nz[0]) if nz.size else None
 
     def to_extended(self) -> "PolySeries":
-        if self.extended:
-            return self
-        return PolySeries(self.coeffs, lo=np.zeros_like(self.coeffs))
+        return self if self.extended else PolySeries.from_array(widen(self.coeffs))
 
-    def _parts(self, n):
-        """Coefficients padded to length n, as an (hi, lo) pair (lo may be None)."""
-        hi = np.zeros(n)
-        hi[: len(self.coeffs)] = self.coeffs
-        if self.lo is None:
-            return hi, None
-        lo = np.zeros(n)
-        lo[: len(self.lo)] = self.lo
-        return hi, lo
+    @property
+    def array(self) -> np.ndarray:
+        """The coefficients as one array: ``coeffs``, or ``coeffs`` stacked over ``lo``."""
+        return self.coeffs if self.lo is None else np.stack((self.coeffs, self.lo))
+
+    @classmethod
+    def from_array(cls, a: np.ndarray) -> "PolySeries":
+        """The series of a coefficient array laid out as ``array`` lays it out."""
+        return cls(a) if a.ndim == 1 else cls(a[0], lo=a[1])
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -109,15 +109,7 @@ class PolySeries:
     def __add__(self, other):
         if not isinstance(other, PolySeries):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        if self.lo is None and other.lo is None:
-            ah, _ = self._parts(n)
-            bh, _ = other._parts(n)
-            return PolySeries(ah + bh)
-        ah, al = self.to_extended()._parts(n)
-        bh, bl = other.to_extended()._parts(n)
-        h, l = dd.add(ah, al, bh, bl)
-        return PolySeries(h, lo=l)
+        return PolySeries.from_array(add(self.array, other.array))
 
     def __sub__(self, other):
         if not isinstance(other, PolySeries):
@@ -125,15 +117,10 @@ class PolySeries:
         return self + (-other)
 
     def __neg__(self):
-        if self.lo is None:
-            return PolySeries(-self.coeffs)
-        return PolySeries(-self.coeffs, lo=-self.lo)
+        return PolySeries.from_array(-self.array)
 
     def scaled(self, alpha: float) -> "PolySeries":
-        if self.lo is None:
-            return PolySeries(self.coeffs * alpha)
-        h, l = dd.mul_d(self.coeffs, self.lo, alpha)
-        return PolySeries(h, lo=l)
+        return PolySeries.from_array(scale(self.array, alpha))
 
     # ------------------------------------------------------------------
     # series operations
@@ -145,10 +132,7 @@ class PolySeries:
             raise ValueError("max_degree must be >= 0")
         if self.degree <= max_degree:
             return self
-        end = max_degree + 1
-        if self.lo is None:
-            return PolySeries(self.coeffs[:end])
-        return PolySeries(self.coeffs[:end], lo=self.lo[:end])
+        return PolySeries.from_array(self.array[..., : max_degree + 1])
 
     def divided_by_y_squared(self) -> "PolySeries":
         """Remove an exact ``y**2`` factor (coefficient shift by two).
@@ -156,13 +140,7 @@ class PolySeries:
         The series must vanish to second order at 0; anything else is a
         structural bug in the caller, reported as a ValueError.
         """
-        if self.is_zero:
-            return self
-        if self.valuation < 2:
-            raise ValueError("series has no y**2 factor (valuation < 2)")
-        if self.lo is None:
-            return PolySeries(self.coeffs[2:])
-        return PolySeries(self.coeffs[2:], lo=self.lo[2:])
+        return PolySeries.from_array(over_y_squared(self.array))
 
     def evaluate(self, y: float) -> float:
         """Horner evaluation at a point of the unit interval."""
@@ -226,16 +204,7 @@ class PolySeries:
         integrand must be regular at 0, i.e. the constant term must
         vanish.
         """
-        if self.is_zero:
-            return 0.0
-        if self.valuation < 1:
-            raise ValueError("integrand f(y)/y singular at 0 (nonzero constant term)")
-        m = np.arange(1, len(self.coeffs))
-        if self.lo is None:
-            return math.fsum(self.coeffs[1:] / m)
-        h, l = dd.div_d(self.coeffs[1:], self.lo[1:], m.astype(float))
-        sh, sl = dd.reduce_sum(h, l)
-        return dd.to_float(sh, sl)
+        return weighted_integral(self.array)
 
 
 #: Elements per block of the broadcast double-double products in
@@ -285,22 +254,68 @@ def _power_table(ys: np.ndarray, powers: int) -> np.ndarray:
     return table
 
 
-def multiply(f: PolySeries, g: PolySeries, max_degree: int | None = None) -> PolySeries:
-    """Product of two series (coefficient convolution).
+def widen(a: np.ndarray) -> np.ndarray:
+    """A float64 coefficient array as double-double, with zero low parts."""
+    return a if a.ndim == 2 else np.stack((a, np.zeros_like(a)))
+
+
+def _pad(a: np.ndarray, n: int) -> np.ndarray:
+    if a.shape[-1] == n:
+        return a
+    out = np.zeros(a.shape[:-1] + (n,))
+    out[..., : a.shape[-1]] = a
+    return out
+
+
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of two series; the shorter is zero-padded, and a double-double operand widens the other."""
+    n = max(a.shape[-1], b.shape[-1])
+    if a.ndim == b.ndim == 1:
+        return _pad(a, n) + _pad(b, n)
+    return np.array(dd.add(*_pad(widen(a), n), *_pad(widen(b), n)))
+
+
+def scale(a: np.ndarray, alpha: float) -> np.ndarray:
+    """A series times a float."""
+    return a * alpha if a.ndim == 1 else np.array(dd.mul_d(*a, alpha))
+
+
+def over_y_squared(a: np.ndarray) -> np.ndarray:
+    """Remove an exact ``y**2`` factor (ValueError if there is none); zero stays as it is."""
+    if not np.count_nonzero(a):
+        return a
+    if np.count_nonzero(a[..., :2]):
+        raise ValueError("series has no y**2 factor (valuation < 2)")
+    return a[..., 2:]
+
+
+def weighted_integral(a: np.ndarray) -> float:
+    """The integral of f(y)/y over [0, 1]: the sum of a[m] / m (a[0] must vanish)."""
+    if not np.count_nonzero(a):
+        return 0.0
+    if np.count_nonzero(a[..., 0]):
+        raise ValueError("integrand f(y)/y singular at 0 (nonzero constant term)")
+    m = np.arange(1, a.shape[-1])
+    if a.ndim == 1:
+        return math.fsum((a[1:] / m).tolist())
+    h, l = dd.div_d(a[0, 1:], a[1, 1:], m.astype(float))
+    return dd.to_float(*dd.reduce_sum(h, l))
+
+
+def convolve(f: np.ndarray, g: np.ndarray, max_degree: int | None = None) -> np.ndarray:
+    """Product of two series (coefficient convolution); a zero operand gives [0].
 
     ``max_degree`` computes only the monomials up to that degree, which
     is how the truncated iteration caps intermediate growth.
     """
-    if f.is_zero or g.is_zero:
-        ext = f.extended or g.extended
-        return PolySeries.zero(extended=ext)
-    if f.lo is None and g.lo is None:
-        out = np.convolve(f.coeffs, g.coeffs)
-        if max_degree is not None:
-            out = out[: max_degree + 1]
-        return PolySeries(out)
-    fe, ge = f.to_extended(), g.to_extended()
-    n, m = len(fe.coeffs), len(ge.coeffs)
+    ext = f.ndim == 2 or g.ndim == 2
+    if not np.count_nonzero(f) or not np.count_nonzero(g):
+        return np.zeros((2, 1) if ext else 1)
+    if not ext:
+        out = np.convolve(f, g)
+        return out if max_degree is None else out[: max_degree + 1]
+    f, g = widen(f), widen(g)
+    n, m = f.shape[1], g.shape[1]
     size = n + m - 1 if max_degree is None else min(n + m - 1, max_degree + 1)
     rows = min(n, size)
     # G[i, c] = g[c - i] (zero outside g): a view of the zero-padded g
@@ -309,32 +324,24 @@ def multiply(f: PolySeries, g: PolySeries, max_degree: int | None = None) -> Pol
     # as_strided path of sliding_window_view cost about 1 MB of peak RSS.
     pad = np.zeros((2, rows - 1 + size))
     keep = min(m, size)
-    pad[0, rows - 1 : rows - 1 + keep] = ge.coeffs[:keep]
-    pad[1, rows - 1 : rows - 1 + keep] = ge.lo[:keep]
+    pad[:, rows - 1 : rows - 1 + keep] = g[:, :keep]
     step = pad.itemsize
     Gh, Gl = np.ndarray((2, rows, size), buffer=pad, offset=(rows - 1) * step,
                         strides=(pad.strides[0], -step, step))
-    out_h = np.zeros(size)
-    out_l = np.zeros(size)
+    out = np.zeros((2, size))
     for b in _blocks(rows, size, _BLOCK):
         cols = slice(b.start, min(size, b.stop - 1 + m))  # the columns rows b reach
-        ph, pl = dd.mul(Gh[b, cols], Gl[b, cols], fe.coeffs[b, None], fe.lo[b, None])
+        ph, pl = dd.mul(Gh[b, cols], Gl[b, cols], f[0, b, None], f[1, b, None])
         sh, sl = dd.reduce_rows(ph, pl)
         if b.start:  # a later row block adds onto the earlier ones
-            sh, sl = dd.add(out_h[cols], out_l[cols], sh, sl)
-        out_h[cols], out_l[cols] = sh, sl
-    return PolySeries(out_h, lo=out_l)
+            sh, sl = dd.add(out[0, cols], out[1, cols], sh, sl)
+        out[0, cols], out[1, cols] = sh, sl
+    return out
 
 
-def poly_sum(terms) -> PolySeries:
-    """Sum of a sequence of series (the partial sum of a solution series)."""
-    terms = list(terms)
-    if not terms:
-        return PolySeries.zero()
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
+def multiply(f: PolySeries, g: PolySeries, max_degree: int | None = None) -> PolySeries:
+    """Product of two series, capped at ``max_degree`` (see ``convolve``)."""
+    return PolySeries.from_array(convolve(f.array, g.array, max_degree))
 
 
 def deflection_series(phi: PolySeries) -> PolySeries:
@@ -352,17 +359,14 @@ def deflection_series(phi: PolySeries) -> PolySeries:
     if phi.valuation < 1:
         raise ValueError("slope series must vanish at y = 0")
     m = np.arange(1, len(phi.coeffs))
+    w = np.zeros(phi.array.shape)
     if phi.lo is None:
-        w = np.zeros(len(phi.coeffs))
         w[1:] = phi.coeffs[1:] / m
         acc = 0.0
         for j in range(len(w) - 1, 0, -1):
             acc = acc + w[j]
         w[0] = -acc
-        return PolySeries(w)
-    wh = np.zeros(len(phi.coeffs))
-    wl = np.zeros(len(phi.coeffs))
-    wh[1:], wl[1:] = dd.div_d(phi.coeffs[1:], phi.lo[1:], m.astype(float))
-    sh, sl = dd.reduce_rows(wh[1:], wl[1:])
-    wh[0], wl[0] = -sh, -sl
-    return PolySeries(wh, lo=wl)
+    else:
+        w[:, 1:] = dd.div_d(phi.coeffs[1:], phi.lo[1:], m.astype(float))
+        w[:, 0] = np.negative(dd.reduce_rows(w[0, 1:], w[1, 1:]))
+    return PolySeries.from_array(w)

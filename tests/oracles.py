@@ -1,6 +1,122 @@
-"""Pointwise oracles the tests check the closed forms against."""
+"""Oracles the tests check the program against.
+
+``kernel_value`` is the pointwise kernel the closed forms are checked
+against.  The rest is the reference homotopy recurrence: the deformation
+step written on ``PolySeries`` operations, term by term, as the solver
+ran it before its recurrence moved onto plain coefficient arrays.  It
+fills a ``HomotopyState`` whose terms are ``PolySeries``; the array core
+of ``vkplate.ham`` must reproduce it bit for bit.
+"""
+
+from vkplate.ham import HomotopyState, OrderingError
+from vkplate.kernels import (
+    apply_membrane_kernel,
+    apply_slope_kernel,
+    forcing_integral,
+    load_forcing,
+)
+from vkplate.polyseries import multiply
 
 
 def kernel_value(y: float, e: float, w: float) -> float:
     """Kernel K(y, e) = (w - 1)*y*e + min(y, e) of the edge weight w."""
     return (w - 1.0) * y * e + min(y, e)
+
+
+def _scaled_forcing(boundary, coef, extended):
+    lf = load_forcing(boundary)
+    if extended:
+        lf = lf.to_extended()
+    return lf.scaled(coef)
+
+
+def _cross_sum(phi_terms, s_terms, k, cap):
+    """Convolution sum phi_i * s_(k-1-i) over i = 0..k-1, capped in degree."""
+    acc = None
+    for i in range(k):
+        p = multiply(phi_terms[i], s_terms[k - 1 - i], max_degree=cap)
+        acc = p if acc is None else acc + p
+    return acc
+
+
+def _square_sum(phi_terms, k, cap):
+    """Convolution sum phi_i * phi_(k-1-i); symmetric pairs share one product."""
+    acc = None
+    for i in range(k):
+        j = k - 1 - i
+        if i > j:
+            break
+        p = multiply(phi_terms[i], phi_terms[j], max_degree=cap)
+        if i != j:
+            p = p.scaled(2.0)
+        acc = p if acc is None else acc + p
+    return acc
+
+
+def slope_base(state, k, boundary, cap):
+    """phi_(k-1) plus the kernel image of the coupling sum (no forcing)."""
+    prod = _cross_sum(state.phi_terms, state.s_terms, k, cap)
+    return state.phi_terms[k - 1] + apply_slope_kernel(
+        prod.divided_by_y_squared(), boundary
+    )
+
+
+def membrane_base(state, k, boundary, cap):
+    """s_(k-1) minus half the kernel image of the slope self-coupling."""
+    sq = _square_sum(state.phi_terms, k, cap)
+    return state.s_terms[k - 1] - apply_membrane_kernel(
+        sq.divided_by_y_squared(), boundary
+    ).scaled(0.5)
+
+
+def deformation_step(state, k, boundary, truncation=None):
+    """Extend a state of ``PolySeries`` terms by deformation order k."""
+    if len(state.phi_terms) != k or len(state.s_terms) != k:
+        raise OrderingError(f"step to order {k} expects exactly orders 0..{k - 1} present")
+    cap = None if truncation is None else truncation + 2
+    ext = state.phi_terms[0].extended
+
+    base = slope_base(state, k, boundary, cap)
+    if truncation is not None:
+        base = base.truncated(truncation)
+    if state.fixed_load:
+        coef = state.q_terms[0] if k == 1 else 0.0
+    else:
+        if len(state.q_terms) != k - 1:
+            raise OrderingError("load terms out of sequence")
+        coef = -base.integral_over_y() / forcing_integral(boundary)
+        state.q_terms.append(coef)
+    d1 = base if coef == 0.0 else base + _scaled_forcing(boundary, coef, ext)
+
+    d2 = membrane_base(state, k, boundary, cap)
+    if truncation is not None:
+        d2 = d2.truncated(truncation)
+
+    if k == 1:  # the first order inherits no earlier term
+        phi_k = d1.scaled(state.c1)
+        s_k = d2.scaled(state.c2)
+    else:
+        phi_k = state.phi_terms[k - 1] + d1.scaled(state.c1)
+        s_k = state.s_terms[k - 1] + d2.scaled(state.c2)
+    state.phi_terms.append(phi_k)
+    state.s_terms.append(s_k)
+    return phi_k, s_k
+
+
+def staggered_pass(state, boundary, truncation=None):
+    """The staggered first-order pass on ``PolySeries`` terms."""
+    cap = None if truncation is None else truncation + 2
+    d2 = membrane_base(state, 1, boundary, cap)
+    if truncation is not None:
+        d2 = d2.truncated(truncation)
+    s_star = state.s_terms[0] + d2.scaled(state.c2)
+
+    mid = HomotopyState.for_load(state.phi_terms[0], s_star, state.q_terms[0],
+                                 state.c1, state.c2)
+    base = slope_base(mid, 1, boundary, cap)
+    if truncation is not None:
+        base = base.truncated(truncation)
+    d1 = base + _scaled_forcing(boundary, state.q_terms[0], base.extended)
+    phi_star = state.phi_terms[0] + d1.scaled(state.c1)
+    return HomotopyState.for_load(phi_star, s_star, state.q_terms[0],
+                                  state.c1, state.c2)

@@ -1,7 +1,10 @@
 """Deformation-order machinery: hand-worked low orders, ordering guards,
-truncation behavior, pass collapsing, and the mean-square residual."""
+truncation behavior, pass collapsing, the mean-square residual, and the
+array core checked bit for bit against the ``PolySeries`` reference
+recurrence of ``oracles``."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,14 +21,15 @@ from vkplate.ham import (
     staggered_pass,
 )
 from vkplate.kernels import (
+    BOUNDARY_KINDS,
     BoundarySpec,
     apply_membrane_kernel,
     apply_slope_kernel,
-    forcing_integral,
     load_forcing,
 )
 from vkplate.polyseries import PolySeries, multiply
 
+import oracles
 from oracles import kernel_value
 
 B = BoundarySpec()  # clamped, nu = 0.3
@@ -33,12 +37,23 @@ B = BoundarySpec()  # clamped, nu = 0.3
 
 def _load_state(load, c0):
     phi0 = load_forcing(B).scaled(load * c0)
-    return HomotopyState.for_load(phi0, PolySeries.zero(), load, c0, c0)
+    return HomotopyState.for_load(phi0.array, PolySeries.zero().array, load, c0, c0)
 
 
 def _deflection_state(a, c0):
     phi0 = load_forcing(B).scaled(-4.0 * a / (2.0 * B.lam + 1.0))
-    return HomotopyState.for_deflection(phi0, PolySeries.zero(), a, c0, c0)
+    return HomotopyState.for_deflection(phi0.array, PolySeries.zero().array, a, c0, c0)
+
+
+def _series(terms):
+    """Terms of a state as ``PolySeries``."""
+    return [PolySeries.from_array(t) for t in terms]
+
+
+def _partial_sums(state):
+    """The partial sums of both series, added in order as ``PolySeries``."""
+    return tuple(reduce(PolySeries.__add__, _series(terms))
+                 for terms in (state.phi_terms, state.s_terms))
 
 
 def test_first_order_slope_rhs_closed_form():
@@ -49,25 +64,25 @@ def test_first_order_slope_rhs_closed_form():
     state = _load_state(q, c0)
     deformation_step(state, 1, B)
     want = load_forcing(B).scaled(q * (1.0 + c0) * c0)
-    assert np.allclose(state.phi_terms[1].coeffs, want.coeffs, rtol=1e-14)
+    assert np.allclose(state.phi_terms[1], want.coeffs, rtol=1e-14)
 
 
 def test_control_value_minus_one_gives_vanishing_first_update():
     state = _load_state(5.0, -1.0)
     deformation_step(state, 1, B)
-    assert state.phi_terms[1].is_zero
+    assert not state.phi_terms[1].any()
 
 
 def test_first_order_membrane_rhs_closed_form():
     q, c0 = 3.0, -0.4
     state = _load_state(q, c0)
-    d2 = _membrane_base(state, 1, B, cap=None)
+    d2 = _membrane_base(state.phi_terms, state.s_terms, 1, B, cap=None)
     lf = load_forcing(B)
     sq = multiply(lf, lf).scaled((q * c0) ** 2)
     want = apply_membrane_kernel(sq.divided_by_y_squared(), B).scaled(-0.5)
-    assert np.allclose(d2.coeffs, want.coeffs, rtol=1e-14)
+    assert np.allclose(d2, want.coeffs, rtol=1e-14)
     deformation_step(state, 1, B)
-    assert np.allclose(state.s_terms[1].coeffs, want.scaled(c0).coeffs,
+    assert np.allclose(state.s_terms[1], want.scaled(c0).coeffs,
                        rtol=1e-14)
 
 
@@ -75,17 +90,17 @@ def test_second_order_slope_rhs_assembly():
     q, c0 = 2.0, -0.5
     state = _load_state(q, c0)
     deformation_step(state, 1, B)
-    phi0, phi1 = state.phi_terms
-    s1 = state.s_terms[1]
+    phi0, phi1 = _series(state.phi_terms)
+    s1 = PolySeries(state.s_terms[1])
     # s0 = 0, so the coupling sum at order 2 is phi0 * s1 alone;
     # no forcing appears past the first order in prescribed-load mode
     want = phi1 + apply_slope_kernel(
         multiply(phi0, s1).divided_by_y_squared(), B
     )
-    got = _slope_base(state, 2, B, cap=None)
-    assert np.allclose(got.coeffs, want.coeffs, rtol=1e-13, atol=1e-16)
+    got = _slope_base(state.phi_terms, state.s_terms, 2, B, cap=None)
+    assert np.allclose(got, want.coeffs, rtol=1e-13, atol=1e-16)
     deformation_step(state, 2, B)
-    assert np.allclose(state.phi_terms[2].coeffs,
+    assert np.allclose(state.phi_terms[2],
                        (phi1 + want.scaled(c0)).coeffs, rtol=1e-13, atol=1e-16)
 
 
@@ -95,13 +110,14 @@ def test_inheritance_from_second_order_on():
     state = _load_state(q, c0)
     deformation_step(state, 1, B)
     for k in range(2, 8):
-        d1 = _slope_base(state, k, B, cap=None)  # no forcing past order 1
-        d2 = _membrane_base(state, k, B, cap=None)
+        # no forcing past order 1
+        d1 = PolySeries(_slope_base(state.phi_terms, state.s_terms, k, B, cap=None))
+        d2 = PolySeries(_membrane_base(state.phi_terms, state.s_terms, k, B, cap=None))
         deformation_step(state, k, B)
-        want_phi = state.phi_terms[k - 1] + d1.scaled(c0)
-        want_s = state.s_terms[k - 1] + d2.scaled(c0)
-        assert np.allclose(state.phi_terms[k].coeffs, want_phi.coeffs, rtol=1e-13)
-        assert np.allclose(state.s_terms[k].coeffs, want_s.coeffs, rtol=1e-13)
+        want_phi = PolySeries(state.phi_terms[k - 1]) + d1.scaled(c0)
+        want_s = PolySeries(state.s_terms[k - 1]) + d2.scaled(c0)
+        assert np.allclose(state.phi_terms[k], want_phi.coeffs, rtol=1e-13)
+        assert np.allclose(state.s_terms[k], want_s.coeffs, rtol=1e-13)
 
 
 def test_ordering_guards():
@@ -118,7 +134,7 @@ def test_ordering_guards():
 def test_prescribed_deflection_initial_integral_is_exact():
     for a in (1.0, 5.0, 30.0):
         state = _deflection_state(a, -0.5)
-        assert state.phi_terms[0].integral_over_y() == -a
+        assert PolySeries(state.phi_terms[0]).integral_over_y() == -a
 
 
 def test_first_load_term_closed_form():
@@ -146,10 +162,10 @@ def test_solved_load_term_zeroes_the_rhs_integral():
     state = _deflection_state(4.0, -0.3)
     for k in (1, 2, 3):
         deformation_step(state, k, B)
-        d1 = _slope_base(state, k, B, cap=None) + load_forcing(B).scaled(
-            state.q_terms[k - 1])
+        d1 = PolySeries(_slope_base(state.phi_terms, state.s_terms, k, B, cap=None)
+                        ) + load_forcing(B).scaled(state.q_terms[k - 1])
         assert abs(d1.integral_over_y()) < 1e-12
-        assert abs(state.phi_terms[k].integral_over_y()) < 1e-12
+        assert abs(PolySeries(state.phi_terms[k]).integral_over_y()) < 1e-12
 
 
 def test_truncation_caps_stored_degrees():
@@ -157,8 +173,8 @@ def test_truncation_caps_stored_degrees():
     state = _load_state(5.0, -0.6)
     for k in (1, 2, 3, 4):
         deformation_step(state, k, B, truncation=n)
-        assert state.phi_terms[k].degree <= n
-        assert state.s_terms[k].degree <= n
+        assert len(state.phi_terms[k]) - 1 <= n
+        assert len(state.s_terms[k]) - 1 <= n
 
 
 def test_truncated_step_matches_full_step_truncated_at_low_order():
@@ -167,24 +183,23 @@ def test_truncated_step_matches_full_step_truncated_at_low_order():
     capped = _load_state(5.0, -0.6)
     deformation_step(full, 1, B)
     deformation_step(capped, 1, B, truncation=50)
-    assert np.allclose(full.phi_terms[1].coeffs, capped.phi_terms[1].coeffs,
-                       rtol=1e-15)
+    assert np.allclose(full.phi_terms[1], capped.phi_terms[1], rtol=1e-15)
 
 
 def test_truncated_deflection_step_keeps_side_condition():
     state = _deflection_state(5.0, -0.5)
     for k in (1, 2, 3, 4, 5):
         deformation_step(state, k, B, truncation=20)
-        phi = sum(state.phi_terms[1:], state.phi_terms[0])
+        phi, _ = _partial_sums(state)
         assert abs(phi.integral_over_y() + 5.0) < 1e-12
 
 
 def test_iterate_pass_collapses_partial_sums():
     state = _load_state(5.0, -0.6)
     fresh = iterate_pass(state, 3, 30, B)
-    want_phi, want_s = state.partial_sums()
-    assert np.allclose(fresh.phi_terms[0].coeffs, want_phi.coeffs, rtol=1e-15)
-    assert np.allclose(fresh.s_terms[0].coeffs, want_s.coeffs, rtol=1e-15)
+    want_phi, want_s = _partial_sums(state)
+    assert np.allclose(fresh.phi_terms[0], want_phi.coeffs, rtol=1e-15)
+    assert np.allclose(fresh.s_terms[0], want_s.coeffs, rtol=1e-15)
     assert fresh.order == 0 and fresh.q_terms == [5.0]
 
 
@@ -199,7 +214,7 @@ def test_iterate_pass_reports_load_estimate():
 def test_staggered_pass_adopts_membrane_update_first():
     q, theta = 5.0, 0.5
     phi0 = load_forcing(B).scaled(-theta * q)
-    state = HomotopyState.for_load(phi0, PolySeries.zero(), q, -theta, -1.0)
+    state = HomotopyState.for_load(phi0.array, PolySeries.zero().array, q, -theta, -1.0)
     nxt = staggered_pass(state, B)
     # manual: psi = G-image of phi0**2 / (2 y**2); then the slope update
     # sees that psi, not the stale zero
@@ -209,8 +224,8 @@ def test_staggered_pass_adopts_membrane_update_first():
     want_phi = phi0.scaled(1.0 - theta) - apply_slope_kernel(
         multiply(phi0, psi).divided_by_y_squared(), B
     ).scaled(theta) - load_forcing(B).scaled(theta * q)
-    assert np.allclose(nxt.s_terms[0].coeffs, psi.coeffs, rtol=1e-13)
-    assert np.allclose(nxt.phi_terms[0].coeffs, want_phi.coeffs, rtol=1e-13,
+    assert np.allclose(nxt.s_terms[0], psi.coeffs, rtol=1e-13)
+    assert np.allclose(nxt.phi_terms[0], want_phi.coeffs, rtol=1e-13,
                        atol=1e-16)
 
 
@@ -228,7 +243,7 @@ def test_residuals_vanish_at_origin():
     state = _load_state(5.0, -0.35)
     for k in (1, 2, 3):
         deformation_step(state, k, B)
-    phi, s = state.partial_sums()
+    phi, s = _partial_sums(state)
     rep = residual_error(phi, s, 5.0, B, grid_size=10, keep_points=True)
     assert rep.slope_residual[0] == 0.0
     assert rep.membrane_residual[0] == 0.0
@@ -269,7 +284,7 @@ def test_residual_extended_matches_double():
     state = _load_state(5.0, -0.35)
     for k in (1, 2, 3, 4):
         deformation_step(state, k, B)
-    phi, s = state.partial_sums()
+    phi, s = _partial_sums(state)
     plain = residual_error(phi, s, 5.0, B).err
     ext = residual_error(phi.to_extended(), s.to_extended(), 5.0, B).err
     assert math.isclose(plain, ext, rel_tol=1e-12)
@@ -278,3 +293,72 @@ def test_residual_extended_matches_double():
 def test_residual_rejects_bad_grid():
     with pytest.raises(ValueError):
         residual_error(PolySeries.zero(), PolySeries.zero(), 0.0, B, grid_size=0)
+
+
+def test_coupling_sum_without_y_squared_factor_raises():
+    # a slope guess with a constant term gives a coupling sum that does
+    # not vanish to second order at 0, a structural bug reported as such
+    state = HomotopyState.for_load(np.array([1.0, 0.5]), np.array([0.5, 0.0]),
+                                   1.0, -0.5, -0.5)
+    with pytest.raises(ValueError, match=r"y\*\*2 factor"):
+        deformation_step(state, 1, B)
+
+
+def _reference_pair(mode, precision, boundary, c0=-0.4):
+    """One starting state twice: arrays for the core, PolySeries for the oracle."""
+    extended = precision == "extended"
+    if mode == "load":
+        value, phi0 = 5.0, load_forcing(boundary).scaled(5.0 * c0)
+    else:
+        value = 3.0
+        phi0 = load_forcing(boundary).scaled(-4.0 * value / (2.0 * boundary.lam + 1.0))
+    s0 = PolySeries.zero(extended=extended)
+    if extended:
+        phi0 = phi0.to_extended()
+    make = HomotopyState.for_load if mode == "load" else HomotopyState.for_deflection
+    return (make(phi0.array, s0.array, value, c0, c0),
+            make(phi0, s0, value, c0, c0))
+
+
+def _assert_terms_equal(state, ref):
+    for got, want in zip(state.phi_terms + state.s_terms, ref.phi_terms + ref.s_terms,
+                         strict=True):
+        assert np.array_equal(got, want.array)
+    assert np.array_equal(state.q_terms, ref.q_terms)
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("kind", BOUNDARY_KINDS)
+@pytest.mark.parametrize("mode", ["load", "deflection"])
+@pytest.mark.parametrize("truncation", [None, 6])
+def test_array_core_matches_reference_recurrence(truncation, mode, kind, precision):
+    # six orders: at truncation 6 the products outgrow the cap within
+    # them, so both the capped convolution and the cut act
+    boundary = BoundarySpec(kind)
+    state, ref = _reference_pair(mode, precision, boundary)
+    for k in range(1, 7):
+        deformation_step(state, k, boundary, truncation)
+        oracles.deformation_step(ref, k, boundary, truncation)
+        _assert_terms_equal(state, ref)
+    if truncation is not None:
+        assert max(len(t.coeffs) for t in ref.phi_terms) == truncation + 1
+    # a pass collapses into the in-order sums of its terms
+    state, ref = _reference_pair(mode, precision, boundary)
+    fresh = iterate_pass(state, 3, truncation, boundary)
+    for k in range(1, 4):
+        oracles.deformation_step(ref, k, boundary, truncation)
+    want_phi = reduce(PolySeries.__add__, ref.phi_terms)
+    want_s = reduce(PolySeries.__add__, ref.s_terms)
+    assert np.array_equal(fresh.phi_terms[0], want_phi.array)
+    assert np.array_equal(fresh.s_terms[0], want_s.array)
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("truncation", [None, 6])
+def test_staggered_pass_matches_reference(truncation, precision):
+    boundary = BoundarySpec("hinged")
+    state, ref = _reference_pair("load", precision, boundary, c0=-0.3)
+    for _ in range(4):
+        state = staggered_pass(state, boundary, truncation)
+        ref = oracles.staggered_pass(ref, boundary, truncation)
+        _assert_terms_equal(state, ref)

@@ -38,11 +38,11 @@ def test_one_step_equals_staggered_first_order_pass():
     q, theta = 5.0, 0.5
     st = step(initial_state(q, theta, B), truncation=None)
     phi0 = load_forcing(B).scaled(-theta * q)
-    ham = HomotopyState.for_load(phi0, PolySeries.zero(), q, -theta, -1.0)
+    ham = HomotopyState.for_load(phi0.array, PolySeries.zero().array, q, -theta, -1.0)
     ham = staggered_pass(ham, B)
-    assert np.allclose(st.phi.coeffs, ham.phi_terms[0].coeffs, rtol=1e-14,
+    assert np.allclose(st.phi.coeffs, ham.phi_terms[0], rtol=1e-14,
                        atol=1e-17)
-    assert np.allclose(st.psi.coeffs, ham.s_terms[0].coeffs, rtol=1e-14,
+    assert np.allclose(st.psi.coeffs, ham.s_terms[0], rtol=1e-14,
                        atol=1e-17)
 
 

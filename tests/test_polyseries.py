@@ -4,13 +4,14 @@ convolution, Horner in exact rational arithmetic, scipy quadrature."""
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from vkplate import polyseries
-from vkplate.polyseries import PolySeries, deflection_series, multiply, poly_sum
+from vkplate.polyseries import PolySeries, add, deflection_series, multiply
 
 
 def _random_poly(rng, degree, extended=False):
@@ -208,11 +209,13 @@ def test_integral_over_y_against_quadrature():
     assert ZERO3.to_extended().integral_over_y() == 0.0
 
 
-def test_poly_sum():
-    terms = [PolySeries([1.0]), PolySeries([0.0, 2.0]), PolySeries([3.0, 0.0, 1.0])]
-    s = poly_sum(terms)
-    assert np.array_equal(s.coeffs, [4.0, 2.0, 1.0])
-    assert poly_sum([]).is_zero
+def test_array_add_pads_and_widens():
+    # summed in order, as a pass collapses its terms: shorter arrays are
+    # zero-padded, and a double-double operand widens a float64 one
+    terms = [np.array([1.0]), np.array([0.0, 2.0]), np.array([3.0, 0.0, 1.0])]
+    assert np.array_equal(reduce(add, terms), [4.0, 2.0, 1.0])
+    mixed = add(np.array([1.0, 2.0]), PolySeries([1e-20]).to_extended().array)
+    assert np.array_equal(mixed, [[1.0, 2.0], [1e-20, 0.0]])
 
 
 def test_deflection_series_edge_value_is_exactly_zero():
