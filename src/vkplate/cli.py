@@ -7,6 +7,7 @@ Exit codes: 0 for a run that converged (or stopped at its pass budget),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -155,8 +156,15 @@ def build_parser():
     return parser, registry
 
 
-def _merge_config(sub, args, parser, argv):
-    """Fold a JSON config file in as subparser defaults, then re-parse."""
+@functools.cache
+def _cli():
+    """The parser and its registry, built once and never changed (a parser is
+    reference-cycle garbage that only a full collection frees)."""
+    return build_parser()
+
+
+def _merge_config(sub, args, argv):
+    """Fold a JSON config file in as defaults of a fresh parser, then re-parse."""
     path = args.config
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -171,7 +179,8 @@ def _merge_config(sub, args, parser, argv):
         if dest not in dests:
             sub.error(f"unknown config key {key!r}")
         defaults[dest] = value
-    sub.set_defaults(**defaults)
+    parser, registry = build_parser()
+    registry[args.command].set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
@@ -242,44 +251,38 @@ def _emit_run(sub, args, report):
     return _STATUS_EXIT[report.status]
 
 
-def _build_load_problem(sub, args, mode, controls=None):
-    """Prescribed-load problem; controls (c1, c2) default to --c0/--c1/--c2."""
-    if args.Q is None:
-        sub.error("--Q is required")
-    c1, c2 = controls or _resolve_controls(sub, args, args.Q, empirical_c0_q, mode)
-    boundary = _checked(sub, BoundarySpec, args.boundary, args.nu)
-    return _checked(sub, GivenLoadProblem, load=float(args.Q), c1=c1, c2=c2,
-                    mode=mode, boundary=boundary, grid_size=args.grid_k,
-                    precision=args.precision)
+#: Per target flag: the problem class, its target field and the fitted control value.
+_PROBLEMS = {"Q": (GivenLoadProblem, "load", empirical_c0_q),
+             "a": (GivenDeflectionProblem, "deflection", empirical_c0_a)}
 
 
-def _build_deflection_problem(sub, args, mode, controls=None):
-    """Prescribed-deflection problem; controls as for the load problem."""
-    if args.a is None:
-        sub.error("--a is required")
-    c1, c2 = controls or _resolve_controls(sub, args, args.a, empirical_c0_a, mode)
+def _build_problem(sub, args, mode, target, controls=None):
+    """Problem of the --Q (load) or --a (deflection) target; controls
+    (c1, c2) default to --c0/--c1/--c2."""
+    value = getattr(args, target)
+    if value is None:
+        sub.error(f"--{target} is required")
+    cls, field, empirical = _PROBLEMS[target]
+    c1, c2 = controls or _resolve_controls(sub, args, value, empirical, mode)
     boundary = _checked(sub, BoundarySpec, args.boundary, args.nu)
-    return _checked(sub, GivenDeflectionProblem, deflection=float(args.a), c1=c1,
-                    c2=c2, mode=mode, boundary=boundary, grid_size=args.grid_k,
-                    precision=args.precision)
+    return _checked(sub, cls, **{field: float(value)}, c1=c1, c2=c2, mode=mode,
+                    boundary=boundary, grid_size=args.grid_k, precision=args.precision)
 
 
 def cmd_solve_q(sub, args):
-    problem = _build_load_problem(sub, args, _mode(sub, args))
+    problem = _build_problem(sub, args, _mode(sub, args), "Q")
     return _emit_run(sub, args, solve_load(problem))
 
 
 def cmd_solve_a(sub, args):
-    problem = _build_deflection_problem(sub, args, _mode(sub, args))
+    problem = _build_problem(sub, args, _mode(sub, args), "a")
     return _emit_run(sub, args, solve_deflection(problem))
 
 
 def _one_of_q_a(sub, args, mode, controls=None):
     if (args.Q is None) == (args.a is None):
         sub.error("exactly one of --Q / --a is required")
-    if args.Q is not None:
-        return _build_load_problem(sub, args, mode, controls)
-    return _build_deflection_problem(sub, args, mode, controls)
+    return _build_problem(sub, args, mode, "a" if args.Q is None else "Q", controls)
 
 
 def cmd_sweep(sub, args):
@@ -333,7 +336,7 @@ def cmd_compare_baseline(sub, args):
         sub.error("--Q is required")
     if not 0.0 < args.theta <= 1.0:
         sub.error("--theta must lie in (0, 1]")
-    problem = _build_load_problem(sub, args, _iterate_mode(sub, args, args.M))
+    problem = _build_problem(sub, args, _iterate_mode(sub, args, args.M), "Q")
     baseline = solve_baseline(args.Q, args.theta, boundary=problem.boundary,
                               truncation=args.N, tol=args.tol,
                               max_iter=args.max_iter, grid_size=args.grid_k)
@@ -451,11 +454,11 @@ def cmd_tables(sub, args):
 
 
 def main(argv=None):
-    parser, registry = build_parser()
+    parser, registry = _cli()
     args = parser.parse_args(argv)
     sub = registry[args.command]
     if getattr(args, "config", None) is not None:
-        args = _merge_config(sub, args, parser, argv)
+        args = _merge_config(sub, args, argv)
     try:
         return args.handler(sub, args)
     except SystemExit:

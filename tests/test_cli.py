@@ -2,6 +2,7 @@
 and the reproducibility switch.  Commands run in-process."""
 
 import csv
+import gc
 import io
 import json
 
@@ -207,6 +208,39 @@ def test_config_file_supplies_and_flags_override(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["config"]["order"] == 4  # flag wins
     assert payload["config"]["c1"] == -0.35  # file value survives
+
+
+def test_config_file_reaches_no_later_call(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c0": -0.35, "order": 8}))
+    out = tmp_path / "run.json"
+    argv = ["solve-q", "--Q", "5", "--format", "json", "--out", str(out)]
+    assert run_cli(argv + ["--config", str(cfg)]) == 0
+    assert json.loads(out.read_text())["config"]["order"] == 8
+    assert run_cli(argv) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["order"] == 10  # the plain defaults
+    assert config["c1"] == -13.0 / 38.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-q", "--Q", "2", "--order", "5"],
+    ["solve-a", "--a", "2", "--iterate", "--max-iter", "3"],
+    ["sweep-c0", "--Q", "2", "--sweep-order", "4", "--c0-min", "-0.5", "--c0-max", "-0.4"],
+    ["compare-baseline", "--Q", "2", "--max-iter", "3"],
+], ids=lambda argv: argv[0])
+def test_main_leaves_no_cyclic_garbage(argv, capsys):
+    # garbage in reference cycles waits for a full collection, which a
+    # long in-process run seldom makes; a parser built per call left 700
+    # such objects behind on every call
+    assert run_cli(argv) == 0  # builds the parser and fills the caches
+    gc.collect()
+    gc.disable()  # so that no automatic collection hides a cycle
+    try:
+        assert run_cli(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_config_file_errors(tmp_path):
