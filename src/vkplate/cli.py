@@ -16,14 +16,12 @@ from .config import DEFAULT_GRID, IterateMode, SeriesMode
 from .diagnostics import compare_orders, solve_problem, sweep_c0
 from .given_deflection import GivenDeflectionProblem
 from .given_deflection import empirical_c0 as empirical_c0_a
-from .given_deflection import solve as solve_deflection
 from .given_load import GivenLoadProblem
 from .given_load import empirical_c0 as empirical_c0_q
-from .given_load import solve as solve_load
 from .interpolation import solve as solve_baseline
 from .kernels import BOUNDARY_KINDS, BoundarySpec
 from .physics import deflection_curve
-from .report import curve_csv, emit_report, fmt_float
+from .report import csv_text, curve_csv, emit_report, fmt_float
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -164,24 +162,37 @@ def _cli():
 
 
 def _merge_config(sub, args, argv):
-    """Fold a JSON config file in as defaults of a fresh parser, then re-parse."""
+    """Parse again with the config file's entries as leading ``--flag=value``
+    tokens, so each value meets its flag's checks and explicit flags win.
+
+    Keys are the flags' destinations; a switch takes true or false, and
+    null keeps the default.
+    """
     path = args.config
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         sub.error(f"cannot read config file {path}: {exc}")
     if not isinstance(raw, dict):
         sub.error(f"config file {path} must hold a JSON object")
-    dests = {a.dest for a in sub._actions}
-    defaults = {}
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    tokens = []
     for key, value in raw.items():
-        dest = key.replace("-", "_")
-        if dest not in dests:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             sub.error(f"unknown config key {key!r}")
-        defaults[dest] = value
-    parser, registry = build_parser()
-    registry[args.command].set_defaults(**defaults)
-    return parser.parse_args(argv)
+        if value is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif not isinstance(value, bool):
+            sub.error(f"config key {key!r} must be true, false or null")
+        elif value:
+            tokens.append(flag)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    at = argv.index(args.command) + 1
+    return _cli()[0].parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _checked(sub, make, *args, **kw):
@@ -221,7 +232,7 @@ def _mode(sub, args):
     return _checked(sub, SeriesMode, order=args.order, tol=args.tol)
 
 
-def _write_text(sub, path, text):
+def _write_text(path, text):
     """Write text to path, or to stdout when no path is given."""
     if path is None:
         sys.stdout.write(text)
@@ -235,16 +246,8 @@ def _write_text(sub, path, text):
 
 def _emit_run(sub, args, report):
     """Report file or stdout payload, then a one-line summary."""
-    if args.out is not None:
-        try:
-            emit_report(report, fmt=args.fmt, path=args.out,
-                        deterministic=args.deterministic)
-        except OSError as exc:
-            print(f"vkplate: cannot write {args.out}: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-    else:
-        sys.stdout.write(emit_report(report, fmt=args.fmt,
-                                     deterministic=args.deterministic))
+    _write_text(args.out, emit_report(report, fmt=args.fmt,
+                                      deterministic=args.deterministic))
     print(f"status={report.status} iterations={report.iterations} "
           f"err={report.err:.6e} q={fmt_float(report.q)} "
           f"w0_over_h={fmt_float(report.w0_over_h)}", file=sys.stderr)
@@ -271,12 +274,12 @@ def _build_problem(sub, args, mode, target, controls=None):
 
 def cmd_solve_q(sub, args):
     problem = _build_problem(sub, args, _mode(sub, args), "Q")
-    return _emit_run(sub, args, solve_load(problem))
+    return _emit_run(sub, args, solve_problem(problem))
 
 
 def cmd_solve_a(sub, args):
     problem = _build_problem(sub, args, _mode(sub, args), "a")
-    return _emit_run(sub, args, solve_deflection(problem))
+    return _emit_run(sub, args, solve_problem(problem))
 
 
 def _one_of_q_a(sub, args, mode, controls=None):
@@ -298,11 +301,8 @@ def cmd_sweep(sub, args):
     mode = _checked(sub, SeriesMode, order=args.sweep_order)
     problem = _one_of_q_a(sub, args, mode, controls=(grid[0], grid[0]))
     result = _checked(sub, sweep_c0, problem, grid, order=args.sweep_order)
-    lines = ["c0,err,status"]
-    lines += [f"{fmt_float(p.c0)},{fmt_float(p.err)},{p.status}"
-              for p in result.points]
-    text = "\n".join(lines) + "\n"
-    _write_text(sub, args.out, text)
+    _write_text(args.out, csv_text(("c0", "err", "status"),
+                                   ((p.c0, p.err, p.status) for p in result.points)))
     if result.best is None:
         print("argmin: none (all points diverged)", file=sys.stderr)
     else:
@@ -319,12 +319,9 @@ def cmd_compare_orders(sub, args):
     # each pass order in m_values replaces the mode's default order
     problem = _one_of_q_a(sub, args, _iterate_mode(sub, args))
     comparison = _checked(sub, compare_orders, problem, m_values)
-    lines = ["m,iteration,err,wall_ms"]
-    for m, iteration, err, wall in comparison.rows():
-        wall = 0.0 if args.deterministic else wall
-        lines.append(f"{m},{iteration},{fmt_float(err)},{fmt_float(wall)}")
-    text = "\n".join(lines) + "\n"
-    _write_text(sub, args.out, text)
+    rows = ((m, iteration, err, 0.0 if args.deterministic else wall)
+            for m, iteration, err, wall in comparison.rows())
+    _write_text(args.out, csv_text(("m", "iteration", "err", "wall_ms"), rows))
     reached = comparison.iterations_to(args.tol)
     summary = " ".join(f"M={m}:{reached[m]}" for m in sorted(reached))
     print(f"iterations to err<={args.tol:g}: {summary}", file=sys.stderr)
@@ -340,16 +337,13 @@ def cmd_compare_baseline(sub, args):
     baseline = solve_baseline(args.Q, args.theta, boundary=problem.boundary,
                               truncation=args.N, tol=args.tol,
                               max_iter=args.max_iter, grid_size=args.grid_k)
-    ham = solve_load(problem)
-    lines = ["method,iteration,err,q,w0_over_h,wall_ms"]
-    for name, rep in (("baseline", baseline), ("ham", ham)):
-        for rec in rep.history:
-            wall = 0.0 if args.deterministic else rec.wall_ms
-            lines.append(f"{name},{rec.iteration},{fmt_float(rec.err)},"
-                         f"{fmt_float(rec.q)},{fmt_float(rec.w0_over_h)},"
-                         f"{fmt_float(wall)}")
-    text = "\n".join(lines) + "\n"
-    _write_text(sub, args.out, text)
+    ham = solve_problem(problem)
+    rows = ((name, rec.iteration, rec.err, rec.q, rec.w0_over_h,
+             0.0 if args.deterministic else rec.wall_ms)
+            for name, rep in (("baseline", baseline), ("ham", ham))
+            for rec in rep.history)
+    _write_text(args.out, csv_text(("method", "iteration", "err", "q", "w0_over_h",
+                                    "wall_ms"), rows))
     print(f"baseline: status={baseline.status} iterations={baseline.iterations} "
           f"err={baseline.err:.6e}", file=sys.stderr)
     print(f"ham:      status={ham.status} iterations={ham.iterations} "
@@ -365,90 +359,69 @@ def cmd_curve(sub, args):
     problem = _one_of_q_a(sub, args, _mode(sub, args))
     report = solve_problem(problem)
     rows = deflection_curve(report.phi, problem.boundary.nu, samples=args.samples)
-    text = curve_csv(rows)
-    _write_text(sub, args.out, text)
+    _write_text(args.out, curve_csv(rows))
     print(f"status={report.status} err={report.err:.6e} "
           f"w0_over_h={fmt_float(report.w0_over_h)}", file=sys.stderr)
     return _STATUS_EXIT[report.status]
 
 
-def _table_rows_csv(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_float(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    return "\n".join(lines) + "\n"
+def _fitted_rows(target, values, mode, *columns):
+    """Per target value: (value, fitted c0, *report columns) of its solve."""
+    cls, _, empirical = _PROBLEMS[target]
+    rows = []
+    for value in values:
+        c0 = empirical(value, iterated=isinstance(mode, IterateMode))
+        rep = solve_problem(cls.with_c0(value, c0, mode))
+        rows.append((value, c0, *(getattr(rep, c) for c in columns)))
+    return rows
 
 
 def cmd_tables(sub, args):
+    series = {order: _checked(sub, SeriesMode, order=order, tol=args.tol)
+              for order in (10, 20, 30, 40, 50)}
+    iterate = _checked(sub, IterateMode, tol=args.tol, max_iter=args.max_iter)
     out_dir = args.out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"vkplate: cannot create {out_dir}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    tol, max_iter = args.tol, args.max_iter
-
-    def series(order):
-        return SeriesMode(order=order, tol=tol)
-
-    def iterate():
-        return IterateMode(order=5, truncation=100, tol=tol, max_iter=max_iter)
-
     tables = {}
 
     # residual decay of the plain series at Q = 5, fixed control value
-    rows = []
-    for order in (10, 20, 30, 40, 50):
-        rep = solve_load(GivenLoadProblem.with_c0(5.0, -0.35, series(order)))
-        rows.append((order, rep.err, rep.w0_over_h))
-    tables["table1.csv"] = _table_rows_csv(("order", "err", "w0_over_h"), rows)
+    reps = [(order, solve_problem(GivenLoadProblem.with_c0(5.0, -0.35, mode)))
+            for order, mode in series.items()]
+    tables["table1.csv"] = (("order", "err", "w0_over_h"),
+                            [(order, r.err, r.w0_over_h) for order, r in reps])
 
     # center deflection across small loads, fitted control values
-    rows = []
-    for q in (1.0, 2.0, 3.0, 4.0, 5.0):
-        c0 = empirical_c0_q(q)
-        rep = solve_load(GivenLoadProblem.with_c0(q, c0, series(50)))
-        rows.append((q, c0, rep.err, rep.w0_over_h))
-    tables["table2.csv"] = _table_rows_csv(("q", "c0", "err", "w0_over_h"), rows)
+    tables["table2.csv"] = (("q", "c0", "err", "w0_over_h"), _fitted_rows(
+        "Q", (1.0, 2.0, 3.0, 4.0, 5.0), series[50], "err", "w0_over_h"))
 
     # iteration history at the large load Q = 1000
-    rep = solve_load(GivenLoadProblem.with_c0(1000.0, -0.02, iterate()))
-    rows = [(rec.iteration, rec.err, rec.w0_over_h) for rec in rep.history]
-    tables["table3.csv"] = _table_rows_csv(("iteration", "err", "w0_over_h"), rows)
+    rep = solve_problem(GivenLoadProblem.with_c0(1000.0, -0.02, iterate))
+    tables["table3.csv"] = (("iteration", "err", "w0_over_h"),
+                            [(r.iteration, r.err, r.w0_over_h) for r in rep.history])
 
     # center deflection across large loads, fitted control values
-    rows = []
-    for q in (200.0, 400.0, 600.0, 800.0, 1000.0):
-        c0 = empirical_c0_q(q, iterated=True)
-        rep = solve_load(GivenLoadProblem.with_c0(q, c0, iterate()))
-        rows.append((q, c0, rep.err, rep.w0_over_h))
-    tables["table4.csv"] = _table_rows_csv(("q", "c0", "err", "w0_over_h"), rows)
+    tables["table4.csv"] = (("q", "c0", "err", "w0_over_h"), _fitted_rows(
+        "Q", (200.0, 400.0, 600.0, 800.0, 1000.0), iterate, "err", "w0_over_h"))
 
     # iteration history for the prescribed deflection a = 5
-    rep = solve_deflection(GivenDeflectionProblem.with_c0(5.0, -0.5, iterate()))
-    rows = [(rec.iteration, rec.err, rec.q) for rec in rep.history]
-    tables["table5.csv"] = _table_rows_csv(("iteration", "err", "q"), rows)
+    rep = solve_problem(GivenDeflectionProblem.with_c0(5.0, -0.5, iterate))
+    tables["table5.csv"] = (("iteration", "err", "q"),
+                            [(r.iteration, r.err, r.q) for r in rep.history])
 
     # load recovered from small prescribed deflections, plain series
-    rows = []
-    for a in (1.0, 2.0, 3.0, 4.0, 5.0):
-        c0 = empirical_c0_a(a)
-        rep = solve_deflection(GivenDeflectionProblem.with_c0(a, c0, series(50)))
-        rows.append((a, c0, rep.err, rep.q))
-    tables["table6.csv"] = _table_rows_csv(("a", "c0", "err", "q"), rows)
+    tables["table6.csv"] = (("a", "c0", "err", "q"), _fitted_rows(
+        "a", (1.0, 2.0, 3.0, 4.0, 5.0), series[50], "err", "q"))
 
     # load recovered from large prescribed deflections, iterated
-    rows = []
-    for a in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
-        c0 = empirical_c0_a(a, iterated=True)
-        rep = solve_deflection(GivenDeflectionProblem.with_c0(a, c0, iterate()))
-        rows.append((a, c0, rep.err, rep.q, rep.w0_over_h))
-    tables["table7.csv"] = _table_rows_csv(("a", "c0", "err", "q", "w0_over_h"),
-                                           rows)
+    tables["table7.csv"] = (("a", "c0", "err", "q", "w0_over_h"), _fitted_rows(
+        "a", (5.0, 10.0, 15.0, 20.0, 25.0, 30.0), iterate, "err", "q", "w0_over_h"))
 
-    for name, text in tables.items():
-        _write_text(sub, out_dir / name, text)
+    for name, (header, rows) in tables.items():
+        _write_text(out_dir / name, csv_text(header, rows))
         print(f"wrote {out_dir / name}", file=sys.stderr)
     return EXIT_OK
 
@@ -457,7 +430,7 @@ def main(argv=None):
     parser, registry = _cli()
     args = parser.parse_args(argv)
     sub = registry[args.command]
-    if getattr(args, "config", None) is not None:
+    if args.config is not None:
         args = _merge_config(sub, args, argv)
     try:
         return args.handler(sub, args)

@@ -28,7 +28,7 @@ class SeriesMode:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("series order must be >= 0")
-        if self.tol < 0.0:
+        if not self.tol >= 0.0:
             raise ValueError("tol must be >= 0")
 
 
@@ -52,7 +52,7 @@ class IterateMode:
             raise ValueError("iteration order must be >= 1")
         if self.truncation < 2:
             raise ValueError("truncation degree must be >= 2")
-        if self.tol < 0.0:
+        if not self.tol >= 0.0:
             raise ValueError("tol must be >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .config import (
     DEFAULT_GRID,
-    DIVERGENCE_ERR,
     IterateMode,
     SeriesMode,
     check_control,
@@ -42,7 +41,6 @@ class GivenDeflectionProblem:
     boundary: BoundarySpec = BoundarySpec()
     grid_size: int = DEFAULT_GRID
     precision: str = "double"
-    divergence_err: float = DIVERGENCE_ERR
 
     def __post_init__(self):
         if not math.isfinite(self.deflection) or self.deflection <= 0.0:
@@ -103,8 +101,7 @@ def solve(problem: GivenDeflectionProblem) -> RunReport:
     report = run_passes(guarded(homotopy_passes(state, mode, b)), (phi0, s0, 0.0), b,
                         config_echo(problem, {"solver": "given_deflection",
                                               "deflection": a}),
-                        grid_size=problem.grid_size,
-                        divergence_err=problem.divergence_err, tol=mode.tol,
+                        grid_size=problem.grid_size, tol=mode.tol,
                         stop_at_tol=isinstance(mode, IterateMode))
     report.restriction_defect = worst_defect
     return report

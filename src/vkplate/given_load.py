@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .config import (
     DEFAULT_GRID,
-    DIVERGENCE_ERR,
     IterateMode,
     SeriesMode,
     check_control,
@@ -38,7 +37,6 @@ class GivenLoadProblem:
     boundary: BoundarySpec = BoundarySpec()
     grid_size: int = DEFAULT_GRID
     precision: str = "double"
-    divergence_err: float = DIVERGENCE_ERR
 
     def __post_init__(self):
         if not math.isfinite(self.load):
@@ -87,6 +85,5 @@ def solve(problem: GivenLoadProblem) -> RunReport:
         passes = itertools.chain([(0, 0, phi0, s0, q)], passes)
     return run_passes(passes, (phi0, s0, q), b,
                       config_echo(problem, {"solver": "given_load", "load": q}),
-                      grid_size=problem.grid_size,
-                      divergence_err=problem.divergence_err, tol=mode.tol,
+                      grid_size=problem.grid_size, tol=mode.tol,
                       stop_at_tol=isinstance(mode, IterateMode))

@@ -44,7 +44,7 @@ from functools import reduce
 import numpy as np
 
 from . import ddouble as dd
-from .config import IterateMode
+from .config import DIVERGENCE_ERR, IterateMode
 from .kernels import (
     BoundarySpec,
     apply_membrane_kernel,
@@ -54,12 +54,11 @@ from .kernels import (
     kernel_map,
     load_forcing,
 )
-from .physics import w_over_h
+from .physics import deflection_curve, w_over_h
 from .polyseries import (
     PolySeries,
     add,
     convolve,
-    deflection_series,
     multiply,
     over_y_squared,
     scale,
@@ -300,14 +299,14 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
 
 
 def run_passes(passes, start, boundary: BoundarySpec, config: dict, *,
-               grid_size: int, divergence_err: float, tol: float,
+               grid_size: int, tol: float,
                stop_at_tol: bool) -> RunReport:
     """Score, record and classify the passes of one solve.
 
     ``passes`` yields ``(iteration, order, phi, s, q)``; ``start`` is the
     ``(phi, s, q)`` reported if it yields nothing.  Each pass gets one
     residual evaluation and one history record.  A non-finite residual
-    or one above ``divergence_err`` ends the run as diverged; an order-0
+    or one above ``DIVERGENCE_ERR`` ends the run as diverged; an order-0
     record is the starting guess, not a pass, and is never judged
     diverged.  With ``stop_at_tol`` the run ends at the first residual
     at or below ``tol``; otherwise it runs out the passes and the last
@@ -324,15 +323,14 @@ def run_passes(passes, start, boundary: BoundarySpec, config: dict, *,
         records.append(IterationRecord(iteration, order, err, q,
                                        w_over_h(phi.integral_over_y(), boundary.nu),
                                        (time.perf_counter() - t0) * 1e3))
-        if order > 0 and (not math.isfinite(err) or err > divergence_err):
+        if order > 0 and (not math.isfinite(err) or err > DIVERGENCE_ERR):
             status = "diverged"
             break
         if stop_at_tol and err <= tol:
             break
     if status == "max_iter" and err <= tol:
         status = "converged"
-    w = deflection_series(phi)
-    samples = [(float(y), w.evaluate(float(y))) for y in np.linspace(0.0, 1.0, 11)]
+    samples = [(y, wv) for y, _, wv, _ in deflection_curve(phi, boundary.nu, 11)]
     return RunReport(config=config, history=records, phi=phi, s=s, q=q,
                      w0_over_h=w_over_h(phi.integral_over_y(), boundary.nu),
                      status=status, deflection_samples=samples)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_GRID, DIVERGENCE_ERR
+from .config import DEFAULT_GRID
 from .ham import HomotopyState, run_passes, staggered_pass
 from .kernels import (
     BoundarySpec,
@@ -85,8 +85,7 @@ def step(state: InterpState, truncation: int | None = 100) -> InterpState:
 
 def solve(load: float, theta: float, boundary: BoundarySpec = BoundarySpec(),
           truncation: int | None = 100, tol: float = 1e-12,
-          max_iter: int = 500, grid_size: int = DEFAULT_GRID,
-          divergence_err: float = DIVERGENCE_ERR) -> RunReport:
+          max_iter: int = 500, grid_size: int = DEFAULT_GRID) -> RunReport:
     """Iterate to tolerance and report history in the standard schema."""
     state = initial_state(load, theta, boundary)
 
@@ -107,8 +106,7 @@ def solve(load: float, theta: float, boundary: BoundarySpec = BoundarySpec(),
         "grid_size": grid_size,
     }
     return run_passes(passes(state), (state.phi, PolySeries.zero(), load), boundary,
-                      cfg, grid_size=grid_size, divergence_err=divergence_err,
-                      tol=tol, stop_at_tol=True)
+                      cfg, grid_size=grid_size, tol=tol, stop_at_tol=True)
 
 
 def equivalence_check(load: float, theta: float, iterations: int = 50,

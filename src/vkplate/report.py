@@ -10,8 +10,6 @@ artifacts matter more than timing.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -68,25 +66,22 @@ def fmt_float(x) -> str:
     return str(x)
 
 
+def csv_text(header, rows) -> str:
+    """A header line, then one comma-joined line of fmt_float values per row."""
+    lines = [",".join(header)]
+    lines += [",".join(map(fmt_float, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def history_csv(report: RunReport, deterministic: bool = False) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(HISTORY_COLUMNS)
-    for rec in report.history:
-        wall = 0.0 if deterministic else rec.wall_ms
-        w.writerow([rec.iteration, rec.order, fmt_float(rec.err), fmt_float(rec.q),
-                    fmt_float(rec.w0_over_h), fmt_float(wall)])
-    return out.getvalue()
+    return csv_text(HISTORY_COLUMNS, (
+        (rec.iteration, rec.order, rec.err, rec.q, rec.w0_over_h,
+         0.0 if deterministic else rec.wall_ms) for rec in report.history))
 
 
 def curve_csv(rows) -> str:
     """Rows of (y, r_over_Ra, W, w_over_h) as CSV text."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(CURVE_COLUMNS)
-    for row in rows:
-        w.writerow([fmt_float(v) for v in row])
-    return out.getvalue()
+    return csv_text(CURVE_COLUMNS, rows)
 
 
 def report_json(report: RunReport, deterministic: bool = False) -> str:
@@ -119,16 +114,11 @@ def report_json(report: RunReport, deterministic: bool = False) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def emit_report(report: RunReport, fmt: str = "csv", path=None,
+def emit_report(report: RunReport, fmt: str = "csv",
                 deterministic: bool = False) -> str:
-    """Serialize a report; write to ``path`` when given, return the text."""
+    """Serialize a report as CSV history or JSON."""
     if fmt == "csv":
-        text = history_csv(report, deterministic=deterministic)
-    elif fmt == "json":
-        text = report_json(report, deterministic=deterministic)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+        return history_csv(report, deterministic=deterministic)
+    if fmt == "json":
+        return report_json(report, deterministic=deterministic)
+    raise ValueError(f"unknown report format {fmt!r}")

@@ -254,6 +254,52 @@ def test_config_file_errors(tmp_path):
     assert run_cli(["solve-q", "--config", str(notdict)]) == 1
 
 
+_SOLVE_Q = ["solve-q", "--Q", "1", "--order", "2"]
+_ORDERS = ["compare-orders", "--Q", "5", "--c0", "-0.5", "--N", "20", "--max-iter", "2"]
+
+
+@pytest.mark.parametrize("argv,entries", [
+    (_SOLVE_Q, {"order": 2.5}),
+    (_SOLVE_Q, {"M": 2.0}),
+    (_SOLVE_Q, {"grid_k": 10.5}),
+    (_ORDERS, {"m_set": [1, 2]}),
+    (_SOLVE_Q, {"boundary": "weird"}),
+    (_SOLVE_Q, {"iterate": "yes"}),
+    (["tables"], {"max_iter": 1.5}),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v[0])
+def test_config_values_meet_their_flags_checks(tmp_path, capsys, argv, entries):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    out = ["--out-dir", str(tmp_path / "t")] if argv[0] == "tables" else \
+        ["--out", str(tmp_path / "out.csv")]
+    assert run_cli([*argv, *out, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "error:" in err
+
+
+def test_config_out_is_a_path(tmp_path, monkeypatch):
+    # the number 3 names the file "3", as --out 3 does, not file descriptor 3
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": 3}))
+    argv = ["solve-q", "--Q", "1", "--order", "2", "--deterministic"]
+    assert run_cli(argv + ["--out", "flag.csv"]) == 0
+    assert run_cli(argv + ["--config", "cfg.json"]) == 0
+    assert (tmp_path / "3").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-q", "--Q", "5", "--iterate", "--tol", "nan"],
+    ["solve-a", "--a", "5", "--tol", "nan"],
+    ["tables", "--tol", "-1"],
+    ["tables", "--max-iter", "0"],
+], ids=" ".join)
+def test_mode_settings_are_usage_errors(tmp_path, capsys, argv):
+    assert run_cli([*argv, "--out-dir" if argv[0] == "tables" else "--out",
+                    str(tmp_path / "out")]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tables_command_writes_all_seven(tmp_path):
     out = tmp_path / "tables"
     assert run_cli(["tables", "--out-dir", str(out)]) == 0

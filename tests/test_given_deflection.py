@@ -27,6 +27,8 @@ def test_problem_validation():
         GivenDeflectionProblem(-2.0, -0.5, -0.5, SeriesMode(5))
     with pytest.raises(ValueError):
         GivenDeflectionProblem(5.0, -0.5, 0.0, SeriesMode(5))
+    with pytest.raises(ValueError):
+        GivenDeflectionProblem(5.0, -0.5, -0.5, IterateMode(tol=float("nan")))
 
 
 def test_empirical_c0_formulas():

@@ -80,12 +80,6 @@ def test_json_report_mirrors_fields_and_sorts_keys():
     assert all(rec["wall_ms"] == 0.0 for rec in det["history"])
 
 
-def test_emit_report_writes_file(tmp_path):
-    path = tmp_path / "run.json"
-    text = emit_report(_report(_records()), fmt="json", path=path)
-    assert path.read_text(encoding="utf-8") == text
-
-
 def test_emit_report_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit_report(_report(), fmt="yaml")
