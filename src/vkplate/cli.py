@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -96,12 +97,14 @@ def build_parser():
         registry[name] = sub
         return sub
 
-    sq = register("solve-q", "solve for a prescribed load number Q", cmd_solve_q)
+    sq = register("solve-q", "solve for a prescribed load number Q", cmd_solve)
+    sq.set_defaults(target="Q")
     sq.add_argument("--Q", type=float, default=None, dest="Q",
                     help="dimensionless load number (required)")
     _add_common(sq)
 
-    sa = register("solve-a", "solve for a prescribed center deflection a", cmd_solve_a)
+    sa = register("solve-a", "solve for a prescribed center deflection a", cmd_solve)
+    sa.set_defaults(target="a")
     sa.add_argument("--a", type=float, default=None, dest="a",
                     help="prescribed center deflection in thickness units (required)")
     _add_common(sa)
@@ -272,13 +275,8 @@ def _build_problem(sub, args, mode, target, controls=None):
                     boundary=boundary, grid_size=args.grid_k, precision=args.precision)
 
 
-def cmd_solve_q(sub, args):
-    problem = _build_problem(sub, args, _mode(sub, args), "Q")
-    return _emit_run(sub, args, solve_problem(problem))
-
-
-def cmd_solve_a(sub, args):
-    problem = _build_problem(sub, args, _mode(sub, args), "a")
+def cmd_solve(sub, args):
+    problem = _build_problem(sub, args, _mode(sub, args), args.target)
     return _emit_run(sub, args, solve_problem(problem))
 
 
@@ -289,13 +287,16 @@ def _one_of_q_a(sub, args, mode, controls=None):
 
 
 def cmd_sweep(sub, args):
-    if args.c0_step <= 0:
+    lo, hi, step = args.c0_min, args.c0_max, args.c0_step
+    for flag, c in (("--c0-min", lo), ("--c0-max", hi)):
+        if not -2.0 < c < 0.0:
+            sub.error(f"{flag} must lie in (-2, 0), got {c}")
+    if not step > 0:
         sub.error("--c0-step must be positive")
-    grid = []
-    c = args.c0_min
-    while c <= args.c0_max + 1e-12:
-        grid.append(round(c, 10))
-        c += args.c0_step
+    span = (hi - lo + 1e-12) / step
+    if span >= 100_000:
+        sub.error("control grid has more than 100000 points")
+    grid = [round(lo + i * step, 10) for i in range(math.floor(span) + 1)]
     if not grid:
         sub.error("empty control grid")
     mode = _checked(sub, SeriesMode, order=args.sweep_order)

@@ -58,16 +58,17 @@ class IterateMode:
             raise ValueError("max_iter must be >= 1")
 
 
-def check_control(c1: float, c2: float):
-    """Convergence-control values must be nonzero finite reals."""
-    for name, c in (("c1", c1), ("c2", c2)):
+def check_settings(problem):
+    """Shared checks of a homotopy problem: nonzero finite controls, a known
+    precision and a residual grid of at least one interval."""
+    for name in ("c1", "c2"):
+        c = getattr(problem, name)
         if not math.isfinite(c) or c == 0.0:
             raise ValueError(f"{name} must be a nonzero finite real, got {c}")
-
-
-def check_precision(precision: str):
-    if precision not in PRECISIONS:
-        raise ValueError(f"precision {precision!r} not one of {PRECISIONS}")
+    if problem.precision not in PRECISIONS:
+        raise ValueError(f"precision {problem.precision!r} not one of {PRECISIONS}")
+    if problem.grid_size < 1:
+        raise ValueError("grid_size must be >= 1")
 
 
 def config_echo(problem, head: dict) -> dict:

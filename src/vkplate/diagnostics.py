@@ -90,10 +90,10 @@ def compare_orders(problem, m_values=(1, 2, 3, 4, 5)) -> OrderComparison:
     """
     if not isinstance(problem.mode, IterateMode):
         raise ValueError("compare_orders needs an iterate-mode problem")
-    runs = {}
-    for m in m_values:
+    if not m_values:
+        raise ValueError("no pass order given")
+    for m in m_values:  # every order is checked before any is solved
         if m < 1:
             raise ValueError(f"pass order must be >= 1, got {m}")
-        runs[int(m)] = solve_problem(
-            replace(problem, mode=replace(problem.mode, order=int(m))))
-    return OrderComparison(runs)
+    return OrderComparison({int(m): solve_problem(
+        replace(problem, mode=replace(problem.mode, order=int(m)))) for m in m_values})

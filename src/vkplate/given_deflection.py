@@ -13,15 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import (
-    DEFAULT_GRID,
-    IterateMode,
-    SeriesMode,
-    check_control,
-    check_precision,
-    config_echo,
-)
-from .ham import HomotopyState, homotopy_passes, run_passes
+from . import ham
+from .config import DEFAULT_GRID, IterateMode, SeriesMode, check_settings
 from .kernels import BoundarySpec, load_forcing
 from .polyseries import PolySeries
 from .report import RunReport
@@ -45,10 +38,7 @@ class GivenDeflectionProblem:
     def __post_init__(self):
         if not math.isfinite(self.deflection) or self.deflection <= 0.0:
             raise ValueError("deflection must be finite and positive")
-        check_control(self.c1, self.c2)
-        check_precision(self.precision)
-        if self.grid_size < 1:
-            raise ValueError("grid_size must be >= 1")
+        check_settings(self)
 
     @classmethod
     def with_c0(cls, deflection, c0, mode, **kw):
@@ -76,15 +66,7 @@ def initial_slope(deflection: float, boundary: BoundarySpec) -> PolySeries:
 
 def solve(problem: GivenDeflectionProblem) -> RunReport:
     """Run the configured mode; history carries the evolving load estimate."""
-    b = problem.boundary
     a = problem.deflection
-    extended = problem.precision == "extended"
-    phi0 = initial_slope(a, b)
-    s0 = PolySeries.zero(extended=extended)
-    if extended:
-        phi0 = phi0.to_extended()
-    state = HomotopyState.for_deflection(phi0.array, s0.array, a, problem.c1, problem.c2)
-
     worst_defect = 0.0
 
     def guarded(passes):
@@ -97,11 +79,7 @@ def solve(problem: GivenDeflectionProblem) -> RunReport:
                                    "the load-term solve is broken")
             yield iteration, order, phi, s, q
 
-    mode = problem.mode
-    report = run_passes(guarded(homotopy_passes(state, mode, b)), (phi0, s0, 0.0), b,
-                        config_echo(problem, {"solver": "given_deflection",
-                                              "deflection": a}),
-                        grid_size=problem.grid_size, tol=mode.tol,
-                        stop_at_tol=isinstance(mode, IterateMode))
+    report = ham.solve(problem, initial_slope(a, problem.boundary), None,
+                       {"solver": "given_deflection", "deflection": a}, guarded)
     report.restriction_defect = worst_defect
     return report

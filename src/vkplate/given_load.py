@@ -8,19 +8,11 @@ truncated passes until the residual meets tolerance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .config import (
-    DEFAULT_GRID,
-    IterateMode,
-    SeriesMode,
-    check_control,
-    check_precision,
-    config_echo,
-)
-from .ham import HomotopyState, homotopy_passes, run_passes
+from . import ham
+from .config import DEFAULT_GRID, IterateMode, SeriesMode, check_settings
 from .kernels import BoundarySpec, load_forcing
 from .polyseries import PolySeries
 from .report import RunReport
@@ -41,10 +33,7 @@ class GivenLoadProblem:
     def __post_init__(self):
         if not math.isfinite(self.load):
             raise ValueError("load must be finite")
-        check_control(self.c1, self.c2)
-        check_precision(self.precision)
-        if self.grid_size < 1:
-            raise ValueError("grid_size must be >= 1")
+        check_settings(self)
 
     @classmethod
     def with_c0(cls, load, c0, mode, **kw):
@@ -70,20 +59,6 @@ def initial_slope(load: float, c0: float, boundary: BoundarySpec) -> PolySeries:
 
 def solve(problem: GivenLoadProblem) -> RunReport:
     """Run the configured mode and report per-step history plus the solution."""
-    b = problem.boundary
     q = problem.load
-    extended = problem.precision == "extended"
-    phi0 = initial_slope(q, problem.c1, b)
-    s0 = PolySeries.zero(extended=extended)
-    if extended:
-        phi0 = phi0.to_extended()
-    state = HomotopyState.for_load(phi0.array, s0.array, q, problem.c1, problem.c2)
-
-    mode = problem.mode
-    passes = homotopy_passes(state, mode, b)
-    if isinstance(mode, SeriesMode):  # a series also records its guess
-        passes = itertools.chain([(0, 0, phi0, s0, q)], passes)
-    return run_passes(passes, (phi0, s0, q), b,
-                      config_echo(problem, {"solver": "given_load", "load": q}),
-                      grid_size=problem.grid_size, tol=mode.tol,
-                      stop_at_tol=isinstance(mode, IterateMode))
+    return ham.solve(problem, initial_slope(q, problem.c1, problem.boundary), q,
+                     {"solver": "given_load", "load": q})

@@ -25,26 +25,28 @@ raw stepping (``homotopy_passes``):
   partial sums into a fresh zeroth-order state, and repeat until the
   residual is small.
 
-In prescribed-deflection mode each order also determines one term of
-the load expansion from the side condition that the weighted integral
-of every correction vanishes, keeping the center deflection pinned.
+Each order also appends one term of the load expansion: a prescribed
+load at order 1 and zero after it, or, with a prescribed center
+deflection, the term that makes the weighted integral of the order's
+correction vanish, which keeps the center deflection pinned.
 
-``run_passes`` is the one solve loop: it scores every pass a solver
-yields with ``residual_error``, records it, stops on divergence or
-tolerance, and builds the run report.
+``solve`` sets up both solvers; ``run_passes`` is the one solve loop:
+it scores every pass with ``residual_error``, records it, stops on
+divergence or tolerance, and builds the run report.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
 from . import ddouble as dd
-from .config import DIVERGENCE_ERR, IterateMode
+from .config import DIVERGENCE_ERR, IterateMode, SeriesMode, config_echo
 from .kernels import (
     BoundarySpec,
     apply_membrane_kernel,
@@ -77,33 +79,27 @@ class HomotopyState:
 
     ``phi_terms[k]`` / ``s_terms[k]`` hold order k of the two series as
     coefficient arrays (float64, or the ``(2, n)`` double-double stack;
-    see :mod:`.polyseries`).  ``q_terms`` is the load expansion: a frozen
-    single entry in prescribed-load mode, one solved entry per order in
-    prescribed-deflection mode.
+    see :mod:`.polyseries`).  ``q_terms[k - 1]`` is the load term of
+    order k.  With ``load`` set the load is prescribed and its expansion
+    is ``[load, 0.0, ...]``; with ``load`` None the center deflection is
+    prescribed and each term is solved from the side condition.
     """
 
     phi_terms: list
     s_terms: list
-    q_terms: list
     c1: float
     c2: float
-    fixed_load: bool
-    target_deflection: float | None = None
-    load_estimate: float = 0.0
-
-    @classmethod
-    def for_load(cls, phi0, s0, load, c1, c2):
-        return cls([phi0], [s0], [load], c1, c2, fixed_load=True,
-                   load_estimate=load)
-
-    @classmethod
-    def for_deflection(cls, phi0, s0, deflection, c1, c2):
-        return cls([phi0], [s0], [], c1, c2, fixed_load=False,
-                   target_deflection=deflection)
+    load: float | None = None
+    q_terms: list = field(default_factory=list)
 
     @property
     def order(self) -> int:
         return len(self.phi_terms) - 1
+
+    @property
+    def q(self) -> float:
+        """The prescribed load, or the summed load expansion so far."""
+        return self.load if self.load is not None else math.fsum(self.q_terms)
 
 
 def _coupling_sum(f_terms, g_terms, k, cap):
@@ -150,17 +146,17 @@ def deformation_step(state: HomotopyState, k: int, boundary: BoundarySpec,
         raise OrderingError(
             f"step to order {k} expects exactly orders 0..{k - 1} present"
         )
+    if len(state.q_terms) != k - 1:
+        raise OrderingError("load terms out of sequence")
     cap = None if truncation is None else truncation + 2
     keep = slice(None) if truncation is None else slice(truncation + 1)
 
     base = _slope_base(phi, s, k, boundary, cap)[..., keep]
-    if state.fixed_load:
-        coef = state.q_terms[0] if k == 1 else 0.0
-    else:
-        if len(state.q_terms) != k - 1:
-            raise OrderingError("load terms out of sequence")
+    if state.load is None:
         coef = -weighted_integral(base) / forcing_integral(boundary)
-        state.q_terms.append(coef)
+    else:
+        coef = state.load if k == 1 else 0.0
+    state.q_terms.append(coef)
     d1 = base if coef == 0.0 else add(base, forcing(boundary, coef, base.ndim == 2))
     d2 = _membrane_base(phi, s, k, boundary, cap)[..., keep]
 
@@ -179,23 +175,16 @@ def iterate_pass(state: HomotopyState, order: int, truncation: int | None,
                  boundary: BoundarySpec) -> HomotopyState:
     """Run one deformation pass and collapse it into a fresh state.
 
-    The input state is extended in place through the requested order;
-    the returned state has the partial sums as its new zeroth-order
-    terms and, in prescribed-deflection mode, carries the load estimate
-    (the summed load expansion) of the completed pass.
+    The input state is extended in place through the requested order,
+    so its ``q`` is the load of the completed pass; the returned state
+    has the partial sums as its new zeroth-order terms.
     """
     if order < 1:
         raise OrderingError(f"pass order must be >= 1, got {order}")
     for k in range(1, order + 1):
         deformation_step(state, k, boundary, truncation)
-    phi0, s0 = reduce(add, state.phi_terms), reduce(add, state.s_terms)
-    if state.fixed_load:
-        return HomotopyState.for_load(phi0, s0, state.q_terms[0],
-                                      state.c1, state.c2)
-    fresh = HomotopyState.for_deflection(phi0, s0, state.target_deflection,
-                                         state.c1, state.c2)
-    fresh.load_estimate = math.fsum(state.q_terms)
-    return fresh
+    return HomotopyState([reduce(add, state.phi_terms)], [reduce(add, state.s_terms)],
+                         state.c1, state.c2, state.load)
 
 
 def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec):
@@ -210,17 +199,17 @@ def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec):
     series = PolySeries.from_array
     if isinstance(mode, IterateMode):
         for it in range(1, mode.max_iter + 1):
-            state = iterate_pass(state, mode.order, mode.truncation, boundary)
+            fresh = iterate_pass(state, mode.order, mode.truncation, boundary)
+            q, state = state.q, fresh  # free the finished terms before the pass is scored
             yield (it, it * mode.order, series(state.phi_terms[0]),
-                   series(state.s_terms[0]), state.load_estimate)
+                   series(state.s_terms[0]), q)
         return
     phi, s = state.phi_terms[0], state.s_terms[0]
     for k in range(1, mode.order + 1):
         deformation_step(state, k, boundary)
         phi = add(phi, state.phi_terms[k])
         s = add(s, state.s_terms[k])
-        q = state.q_terms[0] if state.fixed_load else math.fsum(state.q_terms)
-        yield k, k, series(phi), series(s), q
+        yield k, k, series(phi), series(s), state.q
 
 
 def staggered_pass(state: HomotopyState, boundary: BoundarySpec,
@@ -232,18 +221,18 @@ def staggered_pass(state: HomotopyState, boundary: BoundarySpec,
     interpolation iteration step; this is the schedule the equivalence
     check drives.
     """
-    if not state.fixed_load:
+    if state.load is None:
         raise OrderingError("staggered pass is defined for prescribed-load states")
     cap = None if truncation is None else truncation + 2
     keep = slice(None) if truncation is None else slice(truncation + 1)
-    phi0, s0, load = state.phi_terms[0], state.s_terms[0], state.q_terms[0]
+    phi0, s0, load = state.phi_terms[0], state.s_terms[0], state.load
     d2 = _membrane_base([phi0], [s0], 1, boundary, cap)[..., keep]
     s_star = add(s0, scale(d2, state.c2))
 
     base = _slope_base([phi0], [s_star], 1, boundary, cap)[..., keep]
     d1 = add(base, forcing(boundary, load, base.ndim == 2))
     phi_star = add(phi0, scale(d1, state.c1))
-    return HomotopyState.for_load(phi_star, s_star, load, state.c1, state.c2)
+    return HomotopyState([phi_star], [s_star], state.c1, state.c2, load)
 
 
 @dataclass
@@ -334,3 +323,24 @@ def run_passes(passes, start, boundary: BoundarySpec, config: dict, *,
     return RunReport(config=config, history=records, phi=phi, s=s, q=q,
                      w0_over_h=w_over_h(phi.integral_over_y(), boundary.nu),
                      status=status, deflection_samples=samples)
+
+
+def solve(problem, phi0: PolySeries, load: float | None, head: dict,
+          watch=iter) -> RunReport:
+    """Solve a problem from the slope guess ``phi0`` with no membrane force.
+
+    ``load`` is the prescribed load, or None for a prescribed deflection;
+    ``head`` leads the config echo.  ``watch`` sees every pass on its way
+    to ``run_passes``.  A load series also records its guess as order 0.
+    """
+    mode, b = problem.mode, problem.boundary
+    s0 = PolySeries.zero(extended=problem.precision == "extended")
+    if s0.extended:
+        phi0 = phi0.to_extended()
+    state = HomotopyState([phi0.array], [s0.array], problem.c1, problem.c2, load)
+    passes = homotopy_passes(state, mode, b)
+    if load is not None and isinstance(mode, SeriesMode):
+        passes = itertools.chain([(0, 0, phi0, s0, load)], passes)
+    return run_passes(watch(passes), (phi0, s0, state.q), b, config_echo(problem, head),
+                      grid_size=problem.grid_size, tol=mode.tol,
+                      stop_at_tol=isinstance(mode, IterateMode))

@@ -121,10 +121,8 @@ def equivalence_check(load: float, theta: float, iterations: int = 50,
     the classical scheme is that homotopy special case.
     """
     interp = initial_state(load, theta, boundary)
-    ham_state = HomotopyState.for_load(
-        load_forcing(boundary).scaled(-theta * load).array,
-        PolySeries.zero().array, load, -theta, -1.0,
-    )
+    ham_state = HomotopyState([load_forcing(boundary).scaled(-theta * load).array],
+                              [PolySeries.zero().array], -theta, -1.0, load)
     ys = np.linspace(0.0, 1.0, 101)
     worst = 0.0
     for _ in range(iterations):

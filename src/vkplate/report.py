@@ -16,9 +16,6 @@ from dataclasses import dataclass, field
 HISTORY_COLUMNS = ("iteration", "order", "err", "q", "w0_over_h", "wall_ms")
 CURVE_COLUMNS = ("y", "r_over_Ra", "W", "w_over_h")
 
-#: Terminal states of a run.
-STATUSES = ("converged", "max_iter", "diverged")
-
 
 @dataclass
 class IterationRecord:

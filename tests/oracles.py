@@ -73,19 +73,19 @@ def deformation_step(state, k, boundary, truncation=None):
     """Extend a state of ``PolySeries`` terms by deformation order k."""
     if len(state.phi_terms) != k or len(state.s_terms) != k:
         raise OrderingError(f"step to order {k} expects exactly orders 0..{k - 1} present")
+    if len(state.q_terms) != k - 1:
+        raise OrderingError("load terms out of sequence")
     cap = None if truncation is None else truncation + 2
     ext = state.phi_terms[0].extended
 
     base = slope_base(state, k, boundary, cap)
     if truncation is not None:
         base = base.truncated(truncation)
-    if state.fixed_load:
-        coef = state.q_terms[0] if k == 1 else 0.0
-    else:
-        if len(state.q_terms) != k - 1:
-            raise OrderingError("load terms out of sequence")
+    if state.load is None:
         coef = -base.integral_over_y() / forcing_integral(boundary)
-        state.q_terms.append(coef)
+    else:
+        coef = state.load if k == 1 else 0.0
+    state.q_terms.append(coef)
     d1 = base if coef == 0.0 else base + _scaled_forcing(boundary, coef, ext)
 
     d2 = membrane_base(state, k, boundary, cap)
@@ -111,12 +111,10 @@ def staggered_pass(state, boundary, truncation=None):
         d2 = d2.truncated(truncation)
     s_star = state.s_terms[0] + d2.scaled(state.c2)
 
-    mid = HomotopyState.for_load(state.phi_terms[0], s_star, state.q_terms[0],
-                                 state.c1, state.c2)
+    mid = HomotopyState([state.phi_terms[0]], [s_star], state.c1, state.c2, state.load)
     base = slope_base(mid, 1, boundary, cap)
     if truncation is not None:
         base = base.truncated(truncation)
-    d1 = base + _scaled_forcing(boundary, state.q_terms[0], base.extended)
+    d1 = base + _scaled_forcing(boundary, state.load, base.extended)
     phi_star = state.phi_terms[0] + d1.scaled(state.c1)
-    return HomotopyState.for_load(phi_star, s_star, state.q_terms[0],
-                                  state.c1, state.c2)
+    return HomotopyState([phi_star], [s_star], state.c1, state.c2, state.load)

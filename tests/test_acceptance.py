@@ -13,10 +13,10 @@ import numpy as np
 from vkplate.config import IterateMode, SeriesMode
 from vkplate.diagnostics import compare_orders, sweep_c0
 from vkplate.given_deflection import GivenDeflectionProblem
-from vkplate.given_deflection import empirical_c0 as c0_for_deflection
+from vkplate.given_deflection import empirical_c0 as empirical_c0_a
 from vkplate.given_deflection import solve as solve_deflection
 from vkplate.given_load import GivenLoadProblem
-from vkplate.given_load import empirical_c0 as c0_for_load
+from vkplate.given_load import empirical_c0 as empirical_c0_q
 from vkplate.given_load import solve as solve_load
 from vkplate.ham import residual_error
 from vkplate.interpolation import equivalence_check
@@ -62,7 +62,7 @@ def test_small_load_center_deflections():
     expected = {1.0: 0.15, 2.0: 0.29, 3.0: 0.41, 4.0: 0.53, 5.0: 0.62}
     got = {}
     for q, want in expected.items():
-        rep = solve_load(GivenLoadProblem.with_c0(q, c0_for_load(q),
+        rep = solve_load(GivenLoadProblem.with_c0(q, empirical_c0_q(q),
                                                   SeriesMode(50)))
         got[q] = rep.w0_over_h
     ok = all(abs(got[q] - want) <= 0.01 for q, want in expected.items())
@@ -89,7 +89,7 @@ def test_large_load_family_center_deflections():
     got = {}
     for q, want in expected.items():
         rep = solve_load(GivenLoadProblem.with_c0(
-            q, c0_for_load(q, iterated=True), _iterate()))
+            q, empirical_c0_q(q, iterated=True), _iterate()))
         got[q] = rep.w0_over_h
     ok = all(abs(got[q] - want) <= 0.05 for q, want in expected.items())
     detail = (" ".join(f"Q={q:g}:{got[q]:.3f}" for q in expected)
@@ -122,7 +122,7 @@ def test_load_recovered_from_small_deflections():
     got = {}
     for a, want in expected.items():
         rep = solve_deflection(GivenDeflectionProblem.with_c0(
-            a, c0_for_deflection(a), SeriesMode(50)))
+            a, empirical_c0_a(a), SeriesMode(50)))
         got[a] = rep.q
     ok = all(abs(got[a] - want) / want <= 0.005 for a, want in expected.items())
     detail = (" ".join(f"a={a:g}:{got[a]:.2f}" for a in expected)
@@ -137,7 +137,7 @@ def test_load_recovered_from_large_deflections():
     got, wh30 = {}, None
     for a, want in expected.items():
         rep = solve_deflection(GivenDeflectionProblem.with_c0(
-            a, c0_for_deflection(a, iterated=True), _iterate()))
+            a, empirical_c0_a(a, iterated=True), _iterate()))
         got[a] = rep.q
         if a == 30.0:
             wh30 = rep.w0_over_h
@@ -234,7 +234,7 @@ def test_control_sweep_minima():
     detail = (f"load-5 argmin {q_best:+.2f} (oracle {o_best:+.2f}, gap "
               f"{gap:.1e}, oracle err at -0.35 {oracle[-0.35]:.2e} want 6.5e-05, "
               f"{'ok' if q_ok else 'MISS'}; reference -0.35, fitted "
-              f"{c0_for_load(5.0):+.3f}); deflection-5 argmin {a_best:+.2f} "
+              f"{empirical_c0_q(5.0):+.3f}); deflection-5 argmin {a_best:+.2f} "
               f"(want -0.25+-0.1, {'ok' if a_ok else 'MISS'}) "
               f"({time.perf_counter() - t0:.1f}s)")
     _check("control sweep minima", q_ok and a_ok, detail)

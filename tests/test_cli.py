@@ -5,9 +5,15 @@ import csv
 import gc
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from vkplate import diagnostics
 from vkplate.cli import build_parser, main
 
 
@@ -114,6 +120,43 @@ def test_sweep_schema_and_exit(tmp_path, capsys):
 def test_sweep_requires_exactly_one_target():
     assert run_cli(["sweep-c0"]) == 1
     assert run_cli(["sweep-c0", "--Q", "5", "--a", "5"]) == 1
+
+
+def _memory_cap():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("grid", [
+    ["--c0-step", "1e-300"],  # below the float spacing at --c0-min
+    ["--c0-max", "inf"],
+    ["--c0-step", "1e-6"],  # about 950,000 points
+], ids=" ".join)
+def test_sweep_grid_is_checked_before_it_is_built(grid):
+    # each grid is unbounded or too large to sweep, so the command runs in
+    # its own time- and memory-capped process: an unchecked grid grows
+    # until it is killed
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(__file__).resolve().parents[1] / "src"),
+                   os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "vkplate.cli", "sweep-c0", "--Q", "5",
+                           *grid], capture_output=True, text=True, timeout=30, env=env,
+                          preexec_fn=_memory_cap)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage:")
+
+
+@pytest.mark.parametrize("m_set", [",", "5,0"])
+def test_compare_orders_checks_every_pass_order_first(monkeypatch, capsys, m_set):
+    def solve(problem):
+        raise AssertionError("solved before every pass order was checked")
+
+    monkeypatch.setattr(diagnostics, "solve_problem", solve)
+    assert run_cli(["compare-orders", "--Q", "5", "--M-set", m_set]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
 
 
 def test_compare_orders_csv(tmp_path):

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vkplate.config import IterateMode
 from vkplate.ham import (
     HomotopyState,
     OrderingError,
     _membrane_base,
     _slope_base,
     deformation_step,
+    homotopy_passes,
     iterate_pass,
     residual_error,
     staggered_pass,
@@ -37,12 +39,12 @@ B = BoundarySpec()  # clamped, nu = 0.3
 
 def _load_state(load, c0):
     phi0 = load_forcing(B).scaled(load * c0)
-    return HomotopyState.for_load(phi0.array, PolySeries.zero().array, load, c0, c0)
+    return HomotopyState([phi0.array], [PolySeries.zero().array], c0, c0, load)
 
 
 def _deflection_state(a, c0):
     phi0 = load_forcing(B).scaled(-4.0 * a / (2.0 * B.lam + 1.0))
-    return HomotopyState.for_deflection(phi0.array, PolySeries.zero().array, a, c0, c0)
+    return HomotopyState([phi0.array], [PolySeries.zero().array], c0, c0)
 
 
 def _series(terms):
@@ -200,21 +202,29 @@ def test_iterate_pass_collapses_partial_sums():
     want_phi, want_s = _partial_sums(state)
     assert np.allclose(fresh.phi_terms[0], want_phi.coeffs, rtol=1e-15)
     assert np.allclose(fresh.s_terms[0], want_s.coeffs, rtol=1e-15)
-    assert fresh.order == 0 and fresh.q_terms == [5.0]
+    assert state.q_terms == [5.0, 0.0, 0.0]
+    assert fresh.order == 0 and fresh.q_terms == [] and fresh.q == 5.0
 
 
 def test_iterate_pass_reports_load_estimate():
+    # the finished pass holds its load terms and reports their sum; the
+    # fresh state starts the next pass with none, still in
+    # prescribed-deflection mode
     state = _deflection_state(5.0, -0.5)
     fresh = iterate_pass(state, 2, 40, B)
-    assert math.isclose(fresh.load_estimate, math.fsum(state.q_terms),
-                        rel_tol=1e-15)
-    assert fresh.target_deflection == 5.0
+    assert len(state.q_terms) == 2
+    assert state.q == math.fsum(state.q_terms)
+    assert fresh.load is None and fresh.q_terms == [] and fresh.q == 0.0
+    state = _deflection_state(5.0, -0.5)
+    mode = IterateMode(order=2, truncation=40, max_iter=1)
+    [(_, _, _, _, q)] = homotopy_passes(state, mode, B)
+    assert q == math.fsum(state.q_terms) != 0.0
 
 
 def test_staggered_pass_adopts_membrane_update_first():
     q, theta = 5.0, 0.5
     phi0 = load_forcing(B).scaled(-theta * q)
-    state = HomotopyState.for_load(phi0.array, PolySeries.zero().array, q, -theta, -1.0)
+    state = HomotopyState([phi0.array], [PolySeries.zero().array], -theta, -1.0, q)
     nxt = staggered_pass(state, B)
     # manual: psi = G-image of phi0**2 / (2 y**2); then the slope update
     # sees that psi, not the stale zero
@@ -298,8 +308,7 @@ def test_residual_rejects_bad_grid():
 def test_coupling_sum_without_y_squared_factor_raises():
     # a slope guess with a constant term gives a coupling sum that does
     # not vanish to second order at 0, a structural bug reported as such
-    state = HomotopyState.for_load(np.array([1.0, 0.5]), np.array([0.5, 0.0]),
-                                   1.0, -0.5, -0.5)
+    state = HomotopyState([np.array([1.0, 0.5])], [np.array([0.5, 0.0])], -0.5, -0.5, 1.0)
     with pytest.raises(ValueError, match=r"y\*\*2 factor"):
         deformation_step(state, 1, B)
 
@@ -308,16 +317,14 @@ def _reference_pair(mode, precision, boundary, c0=-0.4):
     """One starting state twice: arrays for the core, PolySeries for the oracle."""
     extended = precision == "extended"
     if mode == "load":
-        value, phi0 = 5.0, load_forcing(boundary).scaled(5.0 * c0)
-    else:
-        value = 3.0
-        phi0 = load_forcing(boundary).scaled(-4.0 * value / (2.0 * boundary.lam + 1.0))
+        load, phi0 = 5.0, load_forcing(boundary).scaled(5.0 * c0)
+    else:  # center deflection 3
+        load, phi0 = None, load_forcing(boundary).scaled(-4.0 * 3.0 / (2.0 * boundary.lam + 1.0))
     s0 = PolySeries.zero(extended=extended)
     if extended:
         phi0 = phi0.to_extended()
-    make = HomotopyState.for_load if mode == "load" else HomotopyState.for_deflection
-    return (make(phi0.array, s0.array, value, c0, c0),
-            make(phi0, s0, value, c0, c0))
+    return (HomotopyState([phi0.array], [s0.array], c0, c0, load),
+            HomotopyState([phi0], [s0], c0, c0, load))
 
 
 def _assert_terms_equal(state, ref):

@@ -38,7 +38,7 @@ def test_one_step_equals_staggered_first_order_pass():
     q, theta = 5.0, 0.5
     st = step(initial_state(q, theta, B), truncation=None)
     phi0 = load_forcing(B).scaled(-theta * q)
-    ham = HomotopyState.for_load(phi0.array, PolySeries.zero().array, q, -theta, -1.0)
+    ham = HomotopyState([phi0.array], [PolySeries.zero().array], -theta, -1.0, q)
     ham = staggered_pass(ham, B)
     assert np.allclose(st.phi.coeffs, ham.phi_terms[0], rtol=1e-14,
                        atol=1e-17)
