@@ -8,8 +8,9 @@ transformations (Dekker splitting, Knuth two-sum), so they stay exact
 under IEEE-754 round-to-nearest.
 
 Only the handful of operations the series solver needs is provided:
-addition, multiplication, division by a float, and compensated
-reductions.  Nothing here knows about polynomials.
+addition, multiplication, division by a float, a compensated sum of
+double-double rows (``reduce_rows``) and a compensated sum of float
+products (``dot_rows``).  Nothing here knows about polynomials.
 """
 
 from __future__ import annotations
@@ -35,17 +36,22 @@ def quick_two_sum(a, b):
     return s, e
 
 
+def split(a):
+    """Dekker's splitting: (hi, lo) with hi + lo = a exactly and 26 significant bits in each."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _product_error(p, ah, al, bh, bl):
+    """The error a * b - p of p = fl(a * b), from the ``split`` halves of a and b."""
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def two_prod(a, b):
     """Exact product: returns (p, e) with p = fl(a * b) and p + e = a * b."""
     p = a * b
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    c = _SPLIT * b
-    b_hi = c - (c - b)
-    b_lo = b - b_hi
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p, e
+    return p, _product_error(p, *split(a), *split(b))
 
 
 def add(xh, xl, yh, yl):
@@ -138,15 +144,33 @@ def reduce_rows(xh, xl, y=None):
     return xh[0], xl[0]
 
 
-def reduce_sum(xh, xl):
-    """Pairwise compensated sum of a double-double vector; returns a scalar pair."""
-    h, l = reduce_rows(np.atleast_1d(xh), np.atleast_1d(xl))
-    return float(h), float(l)
+def dot_rows(x, y, x_parts=None, y_parts=None):
+    """Compensated sum of the products x[i] * y[i] down axis 0; returns one row as (s, e).
 
-
-def dot(xh, xl, yh, yl):
-    """Compensated dot product of two double-double vectors."""
-    return reduce_sum(*mul(xh, xl, yh, yl))
+    This is the Dot2 of Ogita, Rump & Oishi (2005): ``two_prod`` makes
+    every product exact as p + e, the rounded products p are summed
+    pairwise by ``two_sum`` (the tree of ``reduce_rows``), and every
+    product's and every addition's rounding error is summed in float64.
+    x and y broadcast against each other; ``x_parts`` and ``y_parts`` are
+    their ``split`` halves (a pair, or an array stacking the two), for a
+    caller that splits an operand once and uses it in many calls.  The pair is not renormalized, so a caller can
+    add further float terms to e before ``quick_two_sum(s, e)``.  The
+    errors add up to at most (L + 1) u of the sum of |x[i] y[i]| and each
+    passes through at most 2 L float additions, so for n rows s + e is the
+    exact sum to within 2 L (L + 1) u**2 of that sum, to first order, with
+    L = ceil(log2(n)) and u = 2**-53.
+    """
+    p = x * y
+    e = _product_error(p, *(split(x) if x_parts is None else x_parts),
+                       *(split(y) if y_parts is None else y_parts))
+    while len(p) > 1:
+        n = len(p)
+        h = 1 << (n - 1).bit_length() - 1
+        # rows h.. go onto rows 0..; rows n - h..h - 1 are carried
+        p[: n - h], t = two_sum(p[: n - h], p[h:])
+        e[: n - h] += e[h:] + t
+        p, e = p[:h], e[:h]
+    return p[0], e[0]
 
 
 def to_float(xh, xl):

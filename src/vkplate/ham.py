@@ -276,10 +276,10 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
                               v2 if keep_points else None)
     v1h, v1l = n1.to_extended()._horner_dd(ys)
     v2h, v2l = n2.to_extended()._horner_dd(ys)
-    q1h, q1l = dd.mul(v1h, v1l, v1h, v1l)
-    q2h, q2l = dd.mul(v2h, v2l, v2h, v2l)
-    th, tl = dd.add(q1h, q1l, q2h, q2l)
-    sh, sl = dd.reduce_sum(th, tl)
+    vh, vl = np.concatenate((v1h, v2h)), np.concatenate((v1l, v2l))
+    # the sum of squares: vh**2 compensated by dot_rows, 2 vh vl in float64
+    sh, sl = dd.dot_rows(vh, vh)
+    sh, sl = dd.quick_two_sum(sh, sl + 2.0 * np.dot(vh, vl))
     sh, sl = dd.div_d(sh, sl, float(grid_size + 1))
     return ResidualReport(dd.to_float(sh, sl), grid_size,
                           ys if keep_points else None,

@@ -111,7 +111,8 @@ def kernel_map(f: np.ndarray, w: float) -> np.ndarray:
         return out
     lin_h, lin_l, tail_h, tail_l = weights
     out[:, 2:] = dd.mul(f[0], f[1], tail_h, tail_l)
-    out[:, 1] = dd.add(out[0, 1], out[1, 1], *dd.dot(f[0], f[1], lin_h, lin_l))
+    s, e = dd.dot_rows(f[0], lin_h)
+    out[:, 1] = dd.quick_two_sum(s, e + (np.dot(f[0], lin_l) + np.dot(f[1], lin_h)))
     return out
 
 

@@ -299,7 +299,7 @@ def weighted_integral(a: np.ndarray) -> float:
     if a.ndim == 1:
         return math.fsum((a[1:] / m).tolist())
     h, l = dd.div_d(a[0, 1:], a[1, 1:], m.astype(float))
-    return dd.to_float(*dd.reduce_sum(h, l))
+    return dd.to_float(*dd.reduce_rows(h, l))
 
 
 def convolve(f: np.ndarray, g: np.ndarray, max_degree: int | None = None) -> np.ndarray:
@@ -307,6 +307,17 @@ def convolve(f: np.ndarray, g: np.ndarray, max_degree: int | None = None) -> np.
 
     ``max_degree`` computes only the monomials up to that degree, which
     is how the truncated iteration caps intermediate growth.
+
+    In double-double, coefficient k is the compensated sum (``dd.dot_rows``)
+    of the exact products f_hi[i] g_hi[k - i], plus the cross terms
+    f_hi g_lo + f_lo g_hi as two float64 convolutions; f_lo g_lo, of order
+    u**2 per term, is left out.  g_hi is split once per call, and the row
+    blocks (under ``_BLOCK`` elements each) are merged by ``dd.two_sum``.
+    For n terms a coefficient is within (2 L (L + 1) + 2 n + 3) u**2 of the
+    sum of their absolute values, to first order, with L = ceil(log2(n))
+    and u = 2**-53: 3.9e-30 for the solver's 101 terms.  The worst error
+    on the shapes of ``test_extended_multiply_against_mpmath`` is 7.1e-32
+    of that sum, and 1.1e-31 with 97-element blocks.
     """
     ext = f.ndim == 2 or g.ndim == 2
     if not np.count_nonzero(f) or not np.count_nonzero(g):
@@ -318,25 +329,27 @@ def convolve(f: np.ndarray, g: np.ndarray, max_degree: int | None = None) -> np.
     n, m = f.shape[1], g.shape[1]
     size = n + m - 1 if max_degree is None else min(n + m - 1, max_degree + 1)
     rows = min(n, size)
-    # G[i, c] = g[c - i] (zero outside g): a view of the zero-padded g
-    # whose row i starts i elements before g, so row i of f * G is f_i's
-    # contribution.  ndarray checks the view against the buffer; the
-    # as_strided path of sliding_window_view cost about 1 MB of peak RSS.
-    pad = np.zeros((2, rows - 1 + size))
     keep = min(m, size)
-    pad[:, rows - 1 : rows - 1 + keep] = g[:, :keep]
+    # G[j, i, c] = pad[j][c - i] (zero outside g): views of the zero-padded
+    # g_hi and of its two Dekker halves, each row i starting i elements
+    # before g, so row i of f * G is f_i's contribution.  ndarray checks
+    # the views against the buffer; the as_strided path of
+    # sliding_window_view cost about 1 MB of peak RSS.
+    pad = np.zeros((3, rows - 1 + size))
+    pad[0, rows - 1 : rows - 1 + keep] = g[0, :keep]
+    pad[1:] = dd.split(pad[0])
     step = pad.itemsize
-    Gh, Gl = np.ndarray((2, rows, size), buffer=pad, offset=(rows - 1) * step,
-                        strides=(pad.strides[0], -step, step))
-    out = np.zeros((2, size))
+    G = np.ndarray((3, rows, size), buffer=pad, offset=(rows - 1) * step,
+                   strides=(pad.strides[0], -step, step))
+    F = np.stack((f[0, :rows], *dd.split(f[0, :rows])))[..., None]  # f_hi and its halves
+    s = np.zeros(size)
+    e = (np.convolve(f[0, :rows], g[1, :keep]) + np.convolve(f[1, :rows], g[0, :keep]))[:size]
     for b in _blocks(rows, size, _BLOCK):
         cols = slice(b.start, min(size, b.stop - 1 + m))  # the columns rows b reach
-        ph, pl = dd.mul(Gh[b, cols], Gl[b, cols], f[0, b, None], f[1, b, None])
-        sh, sl = dd.reduce_rows(ph, pl)
-        if b.start:  # a later row block adds onto the earlier ones
-            sh, sl = dd.add(out[0, cols], out[1, cols], sh, sl)
-        out[0, cols], out[1, cols] = sh, sl
-    return out
+        bs, be = dd.dot_rows(F[0, b], G[0, b, cols], F[1:, b], G[1:, b, cols])
+        s[cols], t = dd.two_sum(s[cols], bs)  # a later row block adds onto the earlier ones
+        e[cols] += be + t
+    return np.array(dd.quick_two_sum(s, e))
 
 
 def multiply(f: PolySeries, g: PolySeries, max_degree: int | None = None) -> PolySeries:

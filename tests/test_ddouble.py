@@ -92,19 +92,53 @@ def test_reduce_sum_is_compensated():
     xh[0::2] = big
     xh[1::2] = -big
     xl = np.zeros(2 * n)
-    h, lo = dd.reduce_sum(np.concatenate([xh, small]), np.concatenate([xl, np.zeros(n)]))
+    x = np.concatenate([xh, small])
+    h, lo = dd.reduce_rows(x, np.concatenate([xl, np.zeros(n)]))
     assert float(h) + float(lo) == float(n)
+    # the same terms as products x * 1: every two_sum error is an integer
+    h, lo = dd.quick_two_sum(*dd.dot_rows(x, np.ones_like(x)))
+    assert float(h) == float(n) and float(lo) == 0.0
 
 
 def test_dot_matches_exact_rational_dot():
     rng = np.random.default_rng(5)
     x = rng.uniform(-3, 3, 30)
     y = rng.uniform(-3, 3, 30)
-    h, lo = dd.dot(x, np.zeros_like(x), y, np.zeros_like(y))
+    h, lo = dd.quick_two_sum(*dd.dot_rows(x, y))
     want = sum((Fraction(float(a)) * Fraction(float(b)) for a, b in zip(x, y)),
                Fraction(0))
     got = Fraction(float(h)) + Fraction(float(lo))
     assert abs(got - want) <= abs(want) * Fraction(1, 10**28)
+    # 37 rows of a column times a matrix, whose split halves are passed in
+    # as a caller that splits once passes them: the first step pairs five
+    # rows and carries 27.  Column 4's products nearly cancel in pairs, so
+    # it is judged, like the others, by the sum of their absolute values
+    x = rng.uniform(-3, 3, (37, 1)) * 10.0 ** rng.integers(-20, 4, (37, 1))
+    y = rng.uniform(-3, 3, (37, 5)) * 10.0 ** rng.integers(-20, 4, (37, 5))
+    c = rng.uniform(-3, 3, 18) * 10.0 ** rng.integers(-20, 4, 18)
+    y[:, 4] = np.concatenate([c, [1e-10], -c[::-1]]) / x[:, 0]
+    s, e = dd.dot_rows(x, y, dd.split(x), dd.split(y))
+    assert s.shape == e.shape == (5,)
+    s2, e2 = dd.dot_rows(x, y)
+    assert np.array_equal(s, s2) and np.array_equal(e, e2)
+    h, lo = dd.quick_two_sum(s, e)
+    for c in range(5):
+        terms = [Fraction(float(x[r, 0])) * Fraction(float(y[r, c])) for r in range(37)]
+        assert abs(_exact(h[c], lo[c]) - sum(terms)) <= sum(map(abs, terms)) / 10**30
+
+
+def _significant_bits(v):
+    n = abs(Fraction(float(v)).numerator)
+    return (n >> (n & -n).bit_length() - 1).bit_length() if n else 0
+
+
+def test_split_is_exact_into_half_width_parts():
+    rng = np.random.default_rng(23)
+    a = rng.uniform(-1, 1, 200) * 10.0 ** rng.integers(-250, 250, 200)
+    hi, lo = dd.split(a)
+    for i in range(a.size):
+        assert Fraction(float(hi[i])) + Fraction(float(lo[i])) == Fraction(float(a[i]))
+        assert _significant_bits(hi[i]) <= 26 and _significant_bits(lo[i]) <= 26
 
 
 def test_reduce_rows_matches_exact_rational_column_sums():
@@ -158,7 +192,7 @@ def test_scalar_and_array_paths_agree():
 def test_rounding_floor_beats_plain_double():
     # summing 1 + 1e-17 five hundred times: plain double stays at 500.0
     n = 500
-    h, lo = dd.reduce_sum(np.full(n, 1.0), np.full(n, 1e-17))
+    h, lo = dd.reduce_rows(np.full(n, 1.0), np.full(n, 1e-17))
     assert math.fsum([1.0] * n) == 500.0
     assert abs((Fraction(float(h)) + Fraction(float(lo))) - (500 + Fraction(5, 10**15))) \
         < Fraction(1, 10**25)

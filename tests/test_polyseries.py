@@ -268,9 +268,10 @@ def test_extended_deflection_edge_value_also_exact():
     assert w.evaluate(1.0) == 0.0
 
 
-def _dd_random_poly(rng, length):
-    # double-double coefficients whose low parts carry real information
-    hi = rng.uniform(-2.0, 2.0, length)
+def _dd_random_poly(rng, length, decades=(0, 0)):
+    # double-double coefficients whose low parts carry real information,
+    # scaled by 10**x for x uniform over ``decades``
+    hi = rng.uniform(-2.0, 2.0, length) * 10.0 ** rng.uniform(*decades, length)
     lo = hi * rng.uniform(-1.0, 1.0, length) * 1e-17
     return PolySeries(hi, lo=lo)
 
@@ -286,17 +287,23 @@ def test_extended_multiply_against_mpmath(block, monkeypatch):
         return [mpmath.mpf(float(h)) + mpmath.mpf(float(l)) for h, l in zip(p.coeffs, p.lo)]
 
     rng = np.random.default_rng(53)
-    f, g = _dd_random_poly(rng, 30), _dd_random_poly(rng, 30)
+    # (len f, len g, max_degree, decades): two length-30 series of size
+    # about 1, then the solver's shapes, truncation 100 capping at degree
+    # 102 in an iterate pass and the residual uncapped, with coefficients
+    # from 1e-30 to 1e3
+    shapes = [(30, 30, None, (0, 0)), (30, 30, 40, (0, 0)), (101, 101, 102, (-30, 3)),
+              (101, 101, None, (-30, 3)), (60, 101, 102, (-30, 3))]
     with mpmath.workdps(50):
-        fx, gx = exact(f), exact(g)
-        for cap in (None, 40):
+        for n, m, cap, decades in shapes:
+            f, g = _dd_random_poly(rng, n, decades), _dd_random_poly(rng, m, decades)
+            fx, gx = exact(f), exact(g)
             prod = multiply(f, g, max_degree=cap)
-            size = 59 if cap is None else cap + 1
+            size = n + m - 1 if cap is None else cap + 1
             assert prod.extended and len(prod.coeffs) == size
             for k, got in enumerate(exact(prod)):
-                terms = [fx[i] * gx[k - i] for i in range(max(0, k - 29), min(k, 29) + 1)]
+                terms = [fx[i] * gx[k - i] for i in range(max(0, k - m + 1), min(k, n - 1) + 1)]
                 scale = sum(abs(t) for t in terms)
-                assert abs(got - sum(terms)) <= scale * mpmath.mpf(1e-28), (cap, k)
+                assert abs(got - sum(terms)) <= scale * mpmath.mpf(1e-28), (n, m, cap, k)
 
         p = _dd_random_poly(rng, 201)
         px = exact(p)
@@ -310,3 +317,14 @@ def test_extended_multiply_against_mpmath(block, monkeypatch):
                 scale = scale * y + abs(c)
             got = mpmath.mpf(float(h)) + mpmath.mpf(float(l))
             assert abs(got - want) <= scale * mpmath.mpf(1e-28), float(y)
+
+    # integer coefficients below 2**26 make every product exact, so the
+    # double-double result must be the integer convolution itself
+    for cap in (102, None):
+        fi, gi = (rng.integers(-(1 << 26) + 1, 1 << 26, 101) for _ in range(2))
+        prod = multiply(PolySeries(fi.astype(float)).to_extended(),
+                        PolySeries(gi.astype(float)).to_extended(), max_degree=cap)
+        want = [sum(int(fi[i]) * int(gi[k - i]) for i in range(max(0, k - 100), min(k, 100) + 1))
+                for k in range(len(prod.coeffs))]
+        got = [Fraction(float(h)) + Fraction(float(l)) for h, l in zip(prod.coeffs, prod.lo)]
+        assert got == want, cap

@@ -1,11 +1,15 @@
-"""The README's library example runs and prints what it promises."""
+"""The README's library example runs and prints what it promises, and
+every command line of its CLI block exits 0."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from vkplate import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +26,13 @@ def test_library_example_runs():
     assert err == pytest.approx(1.66e-7, rel=5e-3)
     assert w0_over_h == pytest.approx(0.62276, abs=5e-6)
     assert float(second) == pytest.approx(132.1965, abs=5e-5)
+
+
+def test_cli_examples_run(tmp_path, monkeypatch):
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("vkplate ")]
+    assert any("--precision extended" in line for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
