@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import ham
 from .config import DEFAULT_GRID, IterateMode, SeriesMode, check_settings
-from .kernels import BoundarySpec, load_forcing
-from .polyseries import PolySeries
+from .kernels import BoundarySpec, forcing
 from .report import RunReport
 
 #: Hard guard on the side condition; drifting past this means a bug, not rounding.
@@ -58,10 +59,9 @@ def empirical_c0(deflection: float, iterated: bool = False) -> float:
     return -11.0 / (11.0 + a2)
 
 
-def initial_slope(deflection: float, boundary: BoundarySpec) -> PolySeries:
-    """Zeroth-order slope guess with weighted integral exactly -deflection."""
-    scale = -4.0 * deflection / (2.0 * boundary.lam + 1.0)
-    return load_forcing(boundary).scaled(scale)
+def initial_slope(deflection: float, boundary: BoundarySpec) -> np.ndarray:
+    """Coefficients of the zeroth-order slope guess, weighted integral exactly -deflection."""
+    return forcing(boundary, -4.0 * deflection / (2.0 * boundary.lam + 1.0))
 
 
 def solve(problem: GivenDeflectionProblem) -> RunReport:

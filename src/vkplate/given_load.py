@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import ham
 from .config import DEFAULT_GRID, IterateMode, SeriesMode, check_settings
-from .kernels import BoundarySpec, load_forcing
-from .polyseries import PolySeries
+from .kernels import BoundarySpec, forcing
 from .report import RunReport
 
 
@@ -52,9 +53,9 @@ def empirical_c0(load: float, iterated: bool = False) -> float:
     return -13.0 / (13.0 + load * load)
 
 
-def initial_slope(load: float, c0: float, boundary: BoundarySpec) -> PolySeries:
-    """Zeroth-order slope guess Q * c0 * ((lam + 1) y - y**2) / 2."""
-    return load_forcing(boundary).scaled(load * c0)
+def initial_slope(load: float, c0: float, boundary: BoundarySpec) -> np.ndarray:
+    """Coefficients of the zeroth-order slope guess Q * c0 * ((lam + 1) y - y**2) / 2."""
+    return forcing(boundary, load * c0)
 
 
 def solve(problem: GivenLoadProblem) -> RunReport:

@@ -54,7 +54,6 @@ from .kernels import (
     forcing,
     forcing_integral,
     kernel_map,
-    load_forcing,
 )
 from .physics import deflection_curve, w_over_h
 from .polyseries import (
@@ -65,6 +64,7 @@ from .polyseries import (
     over_y_squared,
     scale,
     weighted_integral,
+    widen,
 )
 from .report import IterationRecord, RunReport
 
@@ -260,11 +260,10 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
     ext = phi.extended or s.extended
     n1 = phi + apply_slope_kernel(multiply(phi, s).divided_by_y_squared(), boundary)
     if load != 0.0:
-        lf = load_forcing(boundary)
-        n1 = n1 + (lf.to_extended() if ext else lf).scaled(load)
-    n2 = s - apply_membrane_kernel(
+        n1 = n1 + PolySeries.from_array(forcing(boundary, load, ext))
+    n2 = s + apply_membrane_kernel(
         multiply(phi, phi).divided_by_y_squared(), boundary
-    ).scaled(0.5)
+    ).scaled(-0.5)
     ys = np.linspace(0.0, 1.0, grid_size + 1)
     if not ext:
         v1 = n1.evaluate_grid(ys)
@@ -274,8 +273,8 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
         return ResidualReport(err, grid_size, ys if keep_points else None,
                               v1 if keep_points else None,
                               v2 if keep_points else None)
-    v1h, v1l = n1.to_extended()._horner_dd(ys)
-    v2h, v2l = n2.to_extended()._horner_dd(ys)
+    v1h, v1l = n1._horner_dd(ys)  # n1 and n2 are double-double when either input is
+    v2h, v2l = n2._horner_dd(ys)
     vh, vl = np.concatenate((v1h, v2h)), np.concatenate((v1l, v2l))
     # the sum of squares: vh**2 compensated by dot_rows, 2 vh vl in float64
     sh, sl = dd.dot_rows(vh, vh)
@@ -325,19 +324,20 @@ def run_passes(passes, start, boundary: BoundarySpec, config: dict, *,
                      status=status, deflection_samples=samples)
 
 
-def solve(problem, phi0: PolySeries, load: float | None, head: dict,
+def solve(problem, phi0: np.ndarray, load: float | None, head: dict,
           watch=iter) -> RunReport:
-    """Solve a problem from the slope guess ``phi0`` with no membrane force.
+    """Solve a problem from the float64 slope guess ``phi0`` with no membrane force.
 
     ``load`` is the prescribed load, or None for a prescribed deflection;
     ``head`` leads the config echo.  ``watch`` sees every pass on its way
     to ``run_passes``.  A load series also records its guess as order 0.
     """
     mode, b = problem.mode, problem.boundary
-    s0 = PolySeries.zero(extended=problem.precision == "extended")
-    if s0.extended:
-        phi0 = phi0.to_extended()
-    state = HomotopyState([phi0.array], [s0.array], problem.c1, problem.c2, load)
+    s0 = np.zeros(1)
+    if problem.precision == "extended":
+        phi0, s0 = widen(phi0), widen(s0)
+    state = HomotopyState([phi0], [s0], problem.c1, problem.c2, load)
+    phi0, s0 = PolySeries.from_array(phi0), PolySeries.from_array(s0)
     passes = homotopy_passes(state, mode, b)
     if load is not None and isinstance(mode, SeriesMode):
         passes = itertools.chain([(0, 0, phi0, s0, load)], passes)

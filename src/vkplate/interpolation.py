@@ -15,6 +15,11 @@ stepping, which is the point: ``equivalence_check`` runs both and
 confirms they produce the same iterates when the homotopy is driven
 first-order, staggered, with c1 = -theta and c2 = -1.  Only the run
 bookkeeping (``vkplate.ham.run_passes``) is common to both solvers.
+
+Like the homotopy recurrence, a sweep runs on float64 coefficient
+arrays and the array functions of :mod:`.polyseries`; ``InterpState``
+holds arrays, and ``solve`` wraps them in ``PolySeries`` only for the
+passes it hands to ``run_passes``.
 """
 
 from __future__ import annotations
@@ -25,13 +30,8 @@ import numpy as np
 
 from .config import DEFAULT_GRID
 from .ham import HomotopyState, run_passes, staggered_pass
-from .kernels import (
-    BoundarySpec,
-    apply_membrane_kernel,
-    apply_slope_kernel,
-    load_forcing,
-)
-from .polyseries import PolySeries, multiply
+from .kernels import BoundarySpec, forcing, kernel_map
+from .polyseries import PolySeries, add, convolve, over_y_squared, scale
 from .report import RunReport
 
 
@@ -39,15 +39,16 @@ from .report import RunReport
 class InterpState:
     """One sweep of the interpolation iteration.
 
-    ``phi`` is the current slope iterate; ``psi`` the membrane response
-    computed during the latest sweep (None before the first one).
+    ``phi`` is the current slope iterate and ``psi`` the membrane response
+    computed during the latest sweep (None before the first one), both as
+    float64 coefficient arrays.
     """
 
     theta: float
     load: float
     boundary: BoundarySpec
-    phi: PolySeries
-    psi: PolySeries | None
+    phi: np.ndarray
+    psi: np.ndarray | None
     iteration: int
 
 
@@ -56,31 +57,23 @@ def initial_state(load: float, theta: float,
     """First iterate: the load image scaled by -theta."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta = {theta} outside (0, 1]")
-    phi1 = load_forcing(boundary).scaled(-theta * load)
-    return InterpState(theta, load, boundary, phi1, None, iteration=1)
+    return InterpState(theta, load, boundary, forcing(boundary, -theta * load), None,
+                       iteration=1)
 
 
 def step(state: InterpState, truncation: int | None = 100) -> InterpState:
     """One sweep of the recurrence; degrees capped at the truncation."""
+    if truncation is not None and truncation < 0:
+        raise ValueError("truncation must be >= 0")
     b = state.boundary
     cap = None if truncation is None else truncation + 2
-    phi = state.phi
-    psi = apply_membrane_kernel(
-        multiply(phi, phi, max_degree=cap).divided_by_y_squared(), b
-    ).scaled(0.5)
-    if truncation is not None:
-        psi = psi.truncated(truncation)
-    coupling = apply_slope_kernel(
-        multiply(phi, psi, max_degree=cap).divided_by_y_squared(), b
-    )
-    if truncation is not None:
-        coupling = coupling.truncated(truncation)
-    theta = state.theta
-    phi_next = (phi.scaled(1.0 - theta)
-                - load_forcing(b).scaled(theta * state.load)
-                - coupling.scaled(theta))
-    return InterpState(theta, state.load, b, phi_next, psi,
-                       state.iteration + 1)
+    keep = slice(None) if truncation is None else slice(truncation + 1)
+    phi, theta = state.phi, state.theta
+    psi = scale(kernel_map(over_y_squared(convolve(phi, phi, cap)), b.mu), 0.5)[keep]
+    coupling = kernel_map(over_y_squared(convolve(phi, psi, cap)), b.lam)[keep]
+    phi_next = add(add(scale(phi, 1.0 - theta), -forcing(b, theta * state.load)),
+                   -scale(coupling, theta))
+    return InterpState(theta, state.load, b, phi_next, psi, state.iteration + 1)
 
 
 def solve(load: float, theta: float, boundary: BoundarySpec = BoundarySpec(),
@@ -92,7 +85,7 @@ def solve(load: float, theta: float, boundary: BoundarySpec = BoundarySpec(),
     def passes(state):
         for it in range(1, max_iter + 1):
             state = step(state, truncation)
-            yield it, it, state.phi, state.psi, load
+            yield it, it, PolySeries(state.phi), PolySeries(state.psi), load
 
     cfg = {
         "solver": "interpolation",
@@ -105,8 +98,9 @@ def solve(load: float, theta: float, boundary: BoundarySpec = BoundarySpec(),
         "max_iter": max_iter,
         "grid_size": grid_size,
     }
-    return run_passes(passes(state), (state.phi, PolySeries.zero(), load), boundary,
-                      cfg, grid_size=grid_size, tol=tol, stop_at_tol=True)
+    start = (PolySeries(state.phi), PolySeries(np.zeros(1)), load)
+    return run_passes(passes(state), start, boundary, cfg, grid_size=grid_size, tol=tol,
+                      stop_at_tol=True)
 
 
 def equivalence_check(load: float, theta: float, iterations: int = 50,
@@ -118,20 +112,21 @@ def equivalence_check(load: float, theta: float, iterations: int = 50,
     homotopy (c1 = -theta, c2 = -1) side by side from the same first
     iterate and compares both function pairs on a uniform grid after
     every sweep.  Agreement to rounding is the executable proof that
-    the classical scheme is that homotopy special case.
+    the classical scheme is that homotopy special case, so at least one
+    sweep is required.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations = {iterations}; the check needs at least one sweep")
     interp = initial_state(load, theta, boundary)
-    ham_state = HomotopyState([load_forcing(boundary).scaled(-theta * load).array],
-                              [PolySeries.zero().array], -theta, -1.0, load)
+    ham_state = HomotopyState([interp.phi], [np.zeros(1)], -theta, -1.0, load)
     ys = np.linspace(0.0, 1.0, 101)
     worst = 0.0
     for _ in range(iterations):
         interp = step(interp, truncation)
         ham_state = staggered_pass(ham_state, boundary, truncation)
-        pairs = ((interp.phi, PolySeries(ham_state.phi_terms[0])),
-                 (interp.psi, PolySeries(ham_state.s_terms[0])))
+        pairs = ((interp.phi, ham_state.phi_terms[0]), (interp.psi, ham_state.s_terms[0]))
         for ours, theirs in pairs:
-            ref = float(np.max(np.abs(theirs.evaluate_grid(ys))))
-            gap = float(np.max(np.abs((ours - theirs).evaluate_grid(ys))))
+            ref = float(np.max(np.abs(PolySeries(theirs).evaluate_grid(ys))))
+            gap = float(np.max(np.abs(PolySeries(add(ours, -theirs)).evaluate_grid(ys))))
             worst = max(worst, gap / max(ref, 1e-30))
     return worst

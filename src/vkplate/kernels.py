@@ -133,11 +133,6 @@ def forcing(boundary: BoundarySpec, load: float = 1.0, extended: bool = False) -
     return scale(widen(unit) if extended else unit, load)
 
 
-def load_forcing(boundary: BoundarySpec) -> PolySeries:
-    """Image of a unit load under the slope kernel: ((lam + 1) y - y**2) / 2."""
-    return PolySeries(forcing(boundary))
-
-
 def forcing_integral(boundary: BoundarySpec) -> float:
     """Weighted integral of the unit-load image, (2 lam + 1) / 4."""
     return weighted_integral(forcing(boundary))

@@ -16,8 +16,13 @@ parts, which is what the extended-precision solver mode runs on.
 
 The arithmetic is written once, on coefficient arrays (``PolySeries.array``:
 float64 ``coeffs``, or the (2, n) stack of ``coeffs`` over ``lo``); the
-methods call the module functions that take them, and the homotopy
-recurrence of :mod:`vkplate.ham` runs on such arrays directly.
+methods call the module functions that take them.  The homotopy
+recurrence of :mod:`vkplate.ham`, the interpolation baseline and the
+initial guesses run on such arrays directly, so ``PolySeries`` is the API
+boundary: what a solve reports, construction from and to arrays,
+evaluation, the weighted integral and ``deflection_series``.  Its ``+``
+and ``scaled``, and ``multiply``, remain for ``ham.residual_error``, whose
+operator assembly the benchmark's tracer counts through them.
 """
 
 from __future__ import annotations
@@ -66,10 +71,6 @@ class PolySeries:
     # structure
     # ------------------------------------------------------------------
 
-    @classmethod
-    def zero(cls, extended: bool = False) -> "PolySeries":
-        return cls([0.0], lo=[0.0] if extended else None)
-
     @property
     def extended(self) -> bool:
         return self.lo is not None
@@ -78,19 +79,6 @@ class PolySeries:
     def degree(self) -> int:
         """Highest stored power; its coefficient may be zero."""
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not np.count_nonzero(self.array)
-
-    @property
-    def valuation(self):
-        """Index of the lowest nonzero coefficient, or None for the zero polynomial."""
-        nz = np.flatnonzero(np.atleast_2d(self.array).any(axis=0))
-        return int(nz[0]) if nz.size else None
-
-    def to_extended(self) -> "PolySeries":
-        return self if self.extended else PolySeries.from_array(widen(self.coeffs))
 
     @property
     def array(self) -> np.ndarray:
@@ -111,28 +99,12 @@ class PolySeries:
             return NotImplemented
         return PolySeries.from_array(add(self.array, other.array))
 
-    def __sub__(self, other):
-        if not isinstance(other, PolySeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return PolySeries.from_array(-self.array)
-
     def scaled(self, alpha: float) -> "PolySeries":
         return PolySeries.from_array(scale(self.array, alpha))
 
     # ------------------------------------------------------------------
     # series operations
     # ------------------------------------------------------------------
-
-    def truncated(self, max_degree: int) -> "PolySeries":
-        """Drop all monomials above ``max_degree``."""
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        if self.degree <= max_degree:
-            return self
-        return PolySeries.from_array(self.array[..., : max_degree + 1])
 
     def divided_by_y_squared(self) -> "PolySeries":
         """Remove an exact ``y**2`` factor (coefficient shift by two).
@@ -367,12 +339,13 @@ def deflection_series(phi: PolySeries) -> PolySeries:
     ``dd.reduce_rows`` for double-double), so ``W.evaluate(1.0)``
     cancels to zero exactly, not merely to rounding.
     """
-    if phi.is_zero:
-        return PolySeries.zero(extended=phi.extended)
-    if phi.valuation < 1:
+    a = phi.array
+    if not np.count_nonzero(a):
+        return PolySeries.from_array(np.zeros(a.shape[:-1] + (1,)))
+    if np.count_nonzero(a[..., 0]):
         raise ValueError("slope series must vanish at y = 0")
     m = np.arange(1, len(phi.coeffs))
-    w = np.zeros(phi.array.shape)
+    w = np.zeros(a.shape)
     if phi.lo is None:
         w[1:] = phi.coeffs[1:] / m
         acc = 0.0

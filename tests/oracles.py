@@ -1,21 +1,23 @@
 """Oracles the tests check the program against.
 
 ``kernel_value`` is the pointwise kernel the closed forms are checked
-against.  The rest is the reference homotopy recurrence: the deformation
-step written on ``PolySeries`` operations, term by term, as the solver
-ran it before its recurrence moved onto plain coefficient arrays.  It
-fills a ``HomotopyState`` whose terms are ``PolySeries``; the array core
-of ``vkplate.ham`` must reproduce it bit for bit.
+against.  The rest are reference recurrences written on ``PolySeries``
+operations, as the solvers ran them before they moved onto plain
+coefficient arrays: the homotopy deformation step and staggered pass,
+term by term, filling a ``HomotopyState`` whose terms are ``PolySeries``,
+and one sweep of the interpolation baseline.  The array code of
+``vkplate.ham`` and ``vkplate.interpolation`` must reproduce them bit for
+bit.
 """
 
 from vkplate.ham import HomotopyState, OrderingError
 from vkplate.kernels import (
     apply_membrane_kernel,
     apply_slope_kernel,
+    forcing,
     forcing_integral,
-    load_forcing,
 )
-from vkplate.polyseries import multiply
+from vkplate.polyseries import PolySeries, multiply
 
 
 def kernel_value(y: float, e: float, w: float) -> float:
@@ -24,10 +26,14 @@ def kernel_value(y: float, e: float, w: float) -> float:
 
 
 def _scaled_forcing(boundary, coef, extended):
-    lf = load_forcing(boundary)
-    if extended:
-        lf = lf.to_extended()
-    return lf.scaled(coef)
+    return PolySeries.from_array(forcing(boundary, coef, extended))
+
+
+def _truncated(p, truncation):
+    """The series cut after degree ``truncation`` (unchanged for None)."""
+    if truncation is None:
+        return p
+    return PolySeries.from_array(p.array[..., : truncation + 1])
 
 
 def _cross_sum(phi_terms, s_terms, k, cap):
@@ -64,9 +70,9 @@ def slope_base(state, k, boundary, cap):
 def membrane_base(state, k, boundary, cap):
     """s_(k-1) minus half the kernel image of the slope self-coupling."""
     sq = _square_sum(state.phi_terms, k, cap)
-    return state.s_terms[k - 1] - apply_membrane_kernel(
+    return state.s_terms[k - 1] + apply_membrane_kernel(
         sq.divided_by_y_squared(), boundary
-    ).scaled(0.5)
+    ).scaled(-0.5)
 
 
 def deformation_step(state, k, boundary, truncation=None):
@@ -78,9 +84,7 @@ def deformation_step(state, k, boundary, truncation=None):
     cap = None if truncation is None else truncation + 2
     ext = state.phi_terms[0].extended
 
-    base = slope_base(state, k, boundary, cap)
-    if truncation is not None:
-        base = base.truncated(truncation)
+    base = _truncated(slope_base(state, k, boundary, cap), truncation)
     if state.load is None:
         coef = -base.integral_over_y() / forcing_integral(boundary)
     else:
@@ -88,9 +92,7 @@ def deformation_step(state, k, boundary, truncation=None):
     state.q_terms.append(coef)
     d1 = base if coef == 0.0 else base + _scaled_forcing(boundary, coef, ext)
 
-    d2 = membrane_base(state, k, boundary, cap)
-    if truncation is not None:
-        d2 = d2.truncated(truncation)
+    d2 = _truncated(membrane_base(state, k, boundary, cap), truncation)
 
     if k == 1:  # the first order inherits no earlier term
         phi_k = d1.scaled(state.c1)
@@ -106,15 +108,28 @@ def deformation_step(state, k, boundary, truncation=None):
 def staggered_pass(state, boundary, truncation=None):
     """The staggered first-order pass on ``PolySeries`` terms."""
     cap = None if truncation is None else truncation + 2
-    d2 = membrane_base(state, 1, boundary, cap)
-    if truncation is not None:
-        d2 = d2.truncated(truncation)
+    d2 = _truncated(membrane_base(state, 1, boundary, cap), truncation)
     s_star = state.s_terms[0] + d2.scaled(state.c2)
 
     mid = HomotopyState([state.phi_terms[0]], [s_star], state.c1, state.c2, state.load)
-    base = slope_base(mid, 1, boundary, cap)
-    if truncation is not None:
-        base = base.truncated(truncation)
+    base = _truncated(slope_base(mid, 1, boundary, cap), truncation)
     d1 = base + _scaled_forcing(boundary, state.load, base.extended)
     phi_star = state.phi_terms[0] + d1.scaled(state.c1)
     return HomotopyState([phi_star], [s_star], state.c1, state.c2, state.load)
+
+
+def interpolation_step(phi, theta, load, boundary, truncation=100):
+    """One sweep of the interpolation baseline on ``PolySeries``: (phi_next, psi)."""
+    cap = None if truncation is None else truncation + 2
+    psi = apply_membrane_kernel(
+        multiply(phi, phi, max_degree=cap).divided_by_y_squared(), boundary
+    ).scaled(0.5)
+    psi = _truncated(psi, truncation)
+    coupling = apply_slope_kernel(
+        multiply(phi, psi, max_degree=cap).divided_by_y_squared(), boundary
+    )
+    coupling = _truncated(coupling, truncation)
+    phi_next = (phi.scaled(1.0 - theta)
+                + _scaled_forcing(boundary, -theta * load, False)
+                + coupling.scaled(-theta))
+    return phi_next, psi

@@ -27,24 +27,24 @@ from vkplate.kernels import (
     BoundarySpec,
     apply_membrane_kernel,
     apply_slope_kernel,
-    load_forcing,
+    forcing,
 )
-from vkplate.polyseries import PolySeries, multiply
+from vkplate.polyseries import PolySeries, multiply, widen
 
 import oracles
 from oracles import kernel_value
 
 B = BoundarySpec()  # clamped, nu = 0.3
+ZERO = PolySeries(np.zeros(1))
 
 
 def _load_state(load, c0):
-    phi0 = load_forcing(B).scaled(load * c0)
-    return HomotopyState([phi0.array], [PolySeries.zero().array], c0, c0, load)
+    return HomotopyState([forcing(B, load * c0)], [np.zeros(1)], c0, c0, load)
 
 
 def _deflection_state(a, c0):
-    phi0 = load_forcing(B).scaled(-4.0 * a / (2.0 * B.lam + 1.0))
-    return HomotopyState([phi0.array], [PolySeries.zero().array], c0, c0)
+    phi0 = forcing(B, -4.0 * a / (2.0 * B.lam + 1.0))
+    return HomotopyState([phi0], [np.zeros(1)], c0, c0)
 
 
 def _series(terms):
@@ -60,13 +60,13 @@ def _partial_sums(state):
 
 def test_first_order_slope_rhs_closed_form():
     # with s0 = 0 the first slope right-hand side collapses to
-    # (1 + c0) * Q * load_forcing; the first order inherits no phi0 term,
+    # (1 + c0) * forcing(B, Q); the first order inherits no phi0 term,
     # so the step stores exactly c0 times it
     q, c0 = 5.0, -0.35
     state = _load_state(q, c0)
     deformation_step(state, 1, B)
-    want = load_forcing(B).scaled(q * (1.0 + c0) * c0)
-    assert np.allclose(state.phi_terms[1], want.coeffs, rtol=1e-14)
+    want = forcing(B, q * (1.0 + c0) * c0)
+    assert np.allclose(state.phi_terms[1], want, rtol=1e-14)
 
 
 def test_control_value_minus_one_gives_vanishing_first_update():
@@ -79,7 +79,7 @@ def test_first_order_membrane_rhs_closed_form():
     q, c0 = 3.0, -0.4
     state = _load_state(q, c0)
     d2 = _membrane_base(state.phi_terms, state.s_terms, 1, B, cap=None)
-    lf = load_forcing(B)
+    lf = PolySeries(forcing(B))
     sq = multiply(lf, lf).scaled((q * c0) ** 2)
     want = apply_membrane_kernel(sq.divided_by_y_squared(), B).scaled(-0.5)
     assert np.allclose(d2, want.coeffs, rtol=1e-14)
@@ -165,7 +165,7 @@ def test_solved_load_term_zeroes_the_rhs_integral():
     for k in (1, 2, 3):
         deformation_step(state, k, B)
         d1 = PolySeries(_slope_base(state.phi_terms, state.s_terms, k, B, cap=None)
-                        ) + load_forcing(B).scaled(state.q_terms[k - 1])
+                        ) + PolySeries(forcing(B, state.q_terms[k - 1]))
         assert abs(d1.integral_over_y()) < 1e-12
         assert abs(PolySeries(state.phi_terms[k]).integral_over_y()) < 1e-12
 
@@ -223,17 +223,17 @@ def test_iterate_pass_reports_load_estimate():
 
 def test_staggered_pass_adopts_membrane_update_first():
     q, theta = 5.0, 0.5
-    phi0 = load_forcing(B).scaled(-theta * q)
-    state = HomotopyState([phi0.array], [PolySeries.zero().array], -theta, -1.0, q)
+    phi0 = PolySeries(forcing(B, -theta * q))
+    state = HomotopyState([phi0.array], [np.zeros(1)], -theta, -1.0, q)
     nxt = staggered_pass(state, B)
     # manual: psi = G-image of phi0**2 / (2 y**2); then the slope update
     # sees that psi, not the stale zero
     psi = apply_membrane_kernel(
         multiply(phi0, phi0).divided_by_y_squared(), B
     ).scaled(0.5)
-    want_phi = phi0.scaled(1.0 - theta) - apply_slope_kernel(
+    want_phi = phi0.scaled(1.0 - theta) + apply_slope_kernel(
         multiply(phi0, psi).divided_by_y_squared(), B
-    ).scaled(theta) - load_forcing(B).scaled(theta * q)
+    ).scaled(-theta) + PolySeries(forcing(B, -theta * q))
     assert np.allclose(nxt.s_terms[0], psi.coeffs, rtol=1e-13)
     assert np.allclose(nxt.phi_terms[0], want_phi.coeffs, rtol=1e-13,
                        atol=1e-16)
@@ -245,7 +245,7 @@ def test_staggered_pass_rejects_deflection_states():
 
 
 def test_residual_zero_for_zero_load_zero_solution():
-    rep = residual_error(PolySeries.zero(), PolySeries.zero(), 0.0, B)
+    rep = residual_error(ZERO, ZERO, 0.0, B)
     assert rep.err == 0.0
 
 
@@ -296,13 +296,14 @@ def test_residual_extended_matches_double():
         deformation_step(state, k, B)
     phi, s = _partial_sums(state)
     plain = residual_error(phi, s, 5.0, B).err
-    ext = residual_error(phi.to_extended(), s.to_extended(), 5.0, B).err
+    ext = residual_error(*(PolySeries.from_array(widen(p.array)) for p in (phi, s)),
+                         5.0, B).err
     assert math.isclose(plain, ext, rel_tol=1e-12)
 
 
 def test_residual_rejects_bad_grid():
     with pytest.raises(ValueError):
-        residual_error(PolySeries.zero(), PolySeries.zero(), 0.0, B, grid_size=0)
+        residual_error(ZERO, ZERO, 0.0, B, grid_size=0)
 
 
 def test_coupling_sum_without_y_squared_factor_raises():
@@ -315,16 +316,16 @@ def test_coupling_sum_without_y_squared_factor_raises():
 
 def _reference_pair(mode, precision, boundary, c0=-0.4):
     """One starting state twice: arrays for the core, PolySeries for the oracle."""
-    extended = precision == "extended"
     if mode == "load":
-        load, phi0 = 5.0, load_forcing(boundary).scaled(5.0 * c0)
+        load, phi0 = 5.0, forcing(boundary, 5.0 * c0)
     else:  # center deflection 3
-        load, phi0 = None, load_forcing(boundary).scaled(-4.0 * 3.0 / (2.0 * boundary.lam + 1.0))
-    s0 = PolySeries.zero(extended=extended)
-    if extended:
-        phi0 = phi0.to_extended()
-    return (HomotopyState([phi0.array], [s0.array], c0, c0, load),
-            HomotopyState([phi0], [s0], c0, c0, load))
+        load, phi0 = None, forcing(boundary, -4.0 * 3.0 / (2.0 * boundary.lam + 1.0))
+    s0 = np.zeros(1)
+    if precision == "extended":
+        phi0, s0 = widen(phi0), widen(s0)
+    return (HomotopyState([phi0], [s0], c0, c0, load),
+            HomotopyState([PolySeries.from_array(phi0)], [PolySeries.from_array(s0)],
+                          c0, c0, load))
 
 
 def _assert_terms_equal(state, ref):

@@ -13,15 +13,18 @@ from vkplate.interpolation import (
     solve,
     step,
 )
-from vkplate.kernels import BoundarySpec, load_forcing
+from vkplate.kernels import BOUNDARY_KINDS, BoundarySpec, forcing
 from vkplate.polyseries import PolySeries
+
+import oracles
 
 B = BoundarySpec()
 
 
 def test_initial_state_scaling():
     st = initial_state(5.0, 0.4, B)
-    assert np.allclose(st.phi.coeffs, load_forcing(B).scaled(-2.0).coeffs)
+    assert isinstance(st.phi, np.ndarray)
+    assert np.array_equal(st.phi, forcing(B, -2.0))
     assert st.psi is None
     assert st.iteration == 1
 
@@ -37,18 +40,58 @@ def test_theta_domain():
 def test_one_step_equals_staggered_first_order_pass():
     q, theta = 5.0, 0.5
     st = step(initial_state(q, theta, B), truncation=None)
-    phi0 = load_forcing(B).scaled(-theta * q)
-    ham = HomotopyState([phi0.array], [PolySeries.zero().array], -theta, -1.0, q)
+    ham = HomotopyState([forcing(B, -theta * q)], [np.zeros(1)], -theta, -1.0, q)
     ham = staggered_pass(ham, B)
-    assert np.allclose(st.phi.coeffs, ham.phi_terms[0], rtol=1e-14,
-                       atol=1e-17)
-    assert np.allclose(st.psi.coeffs, ham.s_terms[0], rtol=1e-14,
-                       atol=1e-17)
+    assert np.allclose(st.phi, ham.phi_terms[0], rtol=1e-14, atol=1e-17)
+    assert np.allclose(st.psi, ham.s_terms[0], rtol=1e-14, atol=1e-17)
+
+
+@pytest.mark.parametrize("kind", BOUNDARY_KINDS)
+@pytest.mark.parametrize("truncation", [None, 20])
+def test_step_matches_reference_sweep(truncation, kind):
+    # five sweeps: untruncated the degree grows 2 -> 486; at truncation
+    # 20 both the capped products and the cut act from the third sweep
+    boundary = BoundarySpec(kind)
+    q, theta = 10.0, 0.3
+    st = initial_state(q, theta, boundary)
+    phi = PolySeries(st.phi)
+    for _ in range(5):
+        st = step(st, truncation)
+        phi, psi = oracles.interpolation_step(phi, theta, q, boundary, truncation)
+        assert np.array_equal(st.phi, phi.array)
+        assert np.array_equal(st.psi, psi.array)
+    if truncation is not None:
+        assert len(st.phi) == len(st.psi) == truncation + 1
+
+
+def test_step_caps_degrees_at_the_truncation():
+    # the first sweep's psi has degree 4, below every product cap, so a
+    # cut at n keeps exactly its first n + 1 coefficients; the coupling
+    # (degree 6) is cut too, while phi and the load image (degree 2) are
+    # not, and a cut at or above every degree changes nothing
+    st = initial_state(5.0, 0.4, B)
+    full = step(st, truncation=None)
+    assert len(full.psi) == 5 and len(full.phi) == 7
+    for n in (2, 3, 6, 9):  # from n = 2 the product cap n + 2 covers phi**2
+        cut = step(st, truncation=n)
+        assert len(cut.psi) == min(n + 1, 5)
+        assert len(cut.phi) == max(3, min(n + 1, 7))
+        assert np.array_equal(cut.psi, full.psi[: n + 1])
+    assert np.array_equal(step(st, truncation=6).phi, full.phi)
+    with pytest.raises(ValueError):
+        step(st, truncation=-1)
 
 
 def test_equivalence_over_many_sweeps():
     gap = equivalence_check(5.0, 0.35, iterations=12, truncation=60)
     assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("iterations", [0, -3])
+def test_equivalence_check_needs_a_sweep(iterations):
+    # no sweep compares nothing, which would report a vacuous gap of 0.0
+    with pytest.raises(ValueError):
+        equivalence_check(5.0, 0.35, iterations=iterations)
 
 
 def test_solve_converges_at_small_relaxation():

@@ -54,7 +54,7 @@ def test_deflection_scale_value():
 
 
 def test_curve_of_zero_slope_is_flat():
-    rows = list(deflection_curve(PolySeries.zero(), 0.3, samples=7))
+    rows = list(deflection_curve(PolySeries(np.zeros(1)), 0.3, samples=7))
     assert len(rows) == 7
     assert all(w == 0.0 and wh == 0.0 for _, _, w, wh in rows)
 

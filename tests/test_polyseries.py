@@ -11,13 +11,21 @@ import pytest
 from scipy.integrate import quad
 
 from vkplate import polyseries
-from vkplate.polyseries import PolySeries, add, deflection_series, multiply
+from vkplate.polyseries import PolySeries, add, deflection_series, multiply, widen
+
+
+def _extended(p):
+    return PolySeries.from_array(widen(p.array))
 
 
 def _random_poly(rng, degree, extended=False):
     coeffs = rng.uniform(-2.0, 2.0, degree + 1)
     p = PolySeries(coeffs)
-    return p.to_extended() if extended else p
+    return _extended(p) if extended else p
+
+
+def _is_zero(p):
+    return not np.count_nonzero(p.array)
 
 
 # an all-zero series longer than one coefficient is still the zero polynomial
@@ -28,22 +36,34 @@ def _padded(p, n):
     return np.pad(p.coeffs, (0, n - p.coeffs.size))
 
 
-def test_valuation():
-    assert PolySeries([0.0, 0.0, 3.0]).valuation == 2
-    assert PolySeries([5.0]).valuation == 0
-    for z in (PolySeries([0.0, 0.0]), ZERO3, ZERO3.to_extended()):
-        assert z.is_zero and z.valuation is None
-    assert PolySeries([]).is_zero
-    assert not PolySeries([0.0, 0.0, 1e-310]).is_zero
+def test_deflection_series_needs_a_vanishing_constant_term():
+    # a constant term, even one of 1e-20 in a double-double series, is
+    # rejected; a series with none is accepted whatever its lowest power
+    w = deflection_series(PolySeries([0.0, 0.0, 3.0]))
+    assert np.array_equal(w.coeffs, [-1.5, 0.0, 1.5])
+    for bad in (PolySeries([5.0]), PolySeries([5.0, 1.0]), PolySeries([0.0, 1.0], lo=[1e-20, 0.0])):
+        with pytest.raises(ValueError, match="vanish at y = 0"):
+            deflection_series(bad)
+    # an all-zero series of any length, or none, is the zero profile [0]
+    for z in (PolySeries([0.0, 0.0]), ZERO3, PolySeries([]), PolySeries(np.zeros(1))):
+        w = deflection_series(z)
+        assert np.array_equal(w.coeffs, [0.0]) and not w.extended
+    w = deflection_series(_extended(ZERO3))
+    assert np.array_equal(w.array, [[0.0], [0.0]]) and w.extended
+    # a subnormal coefficient is not zero
+    assert not _is_zero(deflection_series(PolySeries([0.0, 0.0, 1e-310])))
 
 
 def test_immutability():
     p = PolySeries([1.0, 2.0])
     with pytest.raises(AttributeError):
         p.coeffs = np.array([3.0])
+    # degree counts stored powers, trailing zeros included
+    assert PolySeries([1.0, 2.0, 0.0, 0.0]).degree == 3
 
 
 def test_add_sub_neg_match_numpy():
+    # subtraction and negation are add(a, -b) and -a on the arrays
     rng = np.random.default_rng(42)
     for _ in range(20):
         f = _random_poly(rng, int(rng.integers(0, 8)))
@@ -51,8 +71,8 @@ def test_add_sub_neg_match_numpy():
         n = max(f.coeffs.size, g.coeffs.size)
         fa, ga = _padded(f, n), _padded(g, n)
         assert np.array_equal(_padded(f + g, n), fa + ga)
-        assert np.array_equal(_padded(f - g, n), fa - ga)
-        assert np.array_equal(_padded(-f, n), -fa)
+        assert np.array_equal(add(f.array, -g.array), fa - ga)
+        assert np.array_equal(add(-f.array, ga), ga - fa)
 
 
 def test_multiply_matches_convolution_and_truncates():
@@ -67,32 +87,23 @@ def test_multiply_matches_convolution_and_truncates():
         assert capped.degree <= cap
         assert np.allclose(capped.coeffs, PolySeries(full[: cap + 1]).coeffs,
                            rtol=1e-15)
-        for z in (ZERO3, ZERO3.to_extended()):
+        for z in (ZERO3, _extended(ZERO3)):
             for prod in (multiply(z, f), multiply(f, z), multiply(z, g, max_degree=cap)):
-                assert prod.is_zero and prod.degree == 0
+                assert _is_zero(prod) and prod.degree == 0
 
 
 def test_scalar_multiply_and_scaled():
     p = PolySeries([1.0, -2.0, 4.0])
     assert np.array_equal(p.scaled(0.5).coeffs, [0.5, -1.0, 2.0])
     assert np.array_equal(p.scaled(-1.0).coeffs, [-1.0, 2.0, -4.0])
-    assert p.scaled(0.0).is_zero
-
-
-def test_truncated():
-    p = PolySeries([1.0, 2.0, 3.0, 4.0])
-    assert p.truncated(1).degree == 1
-    assert np.array_equal(p.truncated(1).coeffs, [1.0, 2.0])
-    assert p.truncated(9).degree == 3
-    # degree counts stored powers, trailing zeros included
-    assert PolySeries([1.0, 2.0, 0.0, 0.0]).degree == 3
+    assert _is_zero(p.scaled(0.0))
 
 
 def test_divided_by_y_squared():
     p = PolySeries([0.0, 0.0, 2.0, 5.0])
     q = p.divided_by_y_squared()
     assert np.array_equal(q.coeffs, [2.0, 5.0])
-    assert ZERO3.divided_by_y_squared().is_zero
+    assert _is_zero(ZERO3.divided_by_y_squared())
     with pytest.raises(ValueError):
         PolySeries([0.0, 1.0]).divided_by_y_squared()
 
@@ -115,7 +126,7 @@ def test_evaluate_rejects_points_outside_unit_interval(monkeypatch):
     for bad in (1.5, -0.1, math.nan):
         with pytest.raises(ValueError):
             p.evaluate(bad)
-        for q in (p, p.to_extended()):
+        for q in (p, _extended(p)):
             with pytest.raises(ValueError):
                 q.evaluate_grid([0.5, bad])
     assert not polyseries._TABLES  # a rejected grid leaves no table behind
@@ -206,7 +217,7 @@ def test_integral_over_y_against_quadrature():
         assert math.isclose(p.integral_over_y(), want, rel_tol=1e-10,
                             abs_tol=1e-12)
     assert ZERO3.integral_over_y() == 0.0
-    assert ZERO3.to_extended().integral_over_y() == 0.0
+    assert _extended(ZERO3).integral_over_y() == 0.0
 
 
 def test_array_add_pads_and_widens():
@@ -214,8 +225,18 @@ def test_array_add_pads_and_widens():
     # zero-padded, and a double-double operand widens a float64 one
     terms = [np.array([1.0]), np.array([0.0, 2.0]), np.array([3.0, 0.0, 1.0])]
     assert np.array_equal(reduce(add, terms), [4.0, 2.0, 1.0])
-    mixed = add(np.array([1.0, 2.0]), PolySeries([1e-20]).to_extended().array)
+    mixed = add(np.array([1.0, 2.0]), widen(np.array([1e-20])))
     assert np.array_equal(mixed, [[1.0, 2.0], [1e-20, 0.0]])
+
+
+def test_widen_adds_zero_low_parts():
+    a = np.array([1.0, -2.0, 0.5])
+    wide = widen(a)
+    assert wide.shape == (2, 3)
+    assert np.array_equal(wide[0], a) and not np.count_nonzero(wide[1])
+    assert widen(wide) is wide  # a double-double array stays as it is
+    p = PolySeries.from_array(wide)
+    assert p.extended and np.array_equal(p.coeffs, a)
 
 
 def test_deflection_series_edge_value_is_exactly_zero():
@@ -243,7 +264,7 @@ def test_extended_round_trip_and_agreement():
     rng = np.random.default_rng(43)
     f = _random_poly(rng, 8)
     g = _random_poly(rng, 8)
-    fe, ge = f.to_extended(), g.to_extended()
+    fe, ge = _extended(f), _extended(g)
     assert fe.extended and not f.extended
     prod = multiply(fe, ge)
     assert np.allclose(prod.coeffs + prod.lo, multiply(f, g).coeffs, rtol=1e-15,
@@ -254,9 +275,9 @@ def test_extended_round_trip_and_agreement():
 
 
 def test_extended_carries_sub_ulp_information():
-    p = PolySeries([1.0]).to_extended()
+    p = _extended(PolySeries([1.0]))
     # a constant shift below double resolution survives in the low words
-    shifted = p + PolySeries([1e-20]).to_extended()
+    shifted = p + _extended(PolySeries([1e-20]))
     assert shifted.coeffs[0] == 1.0
     assert shifted.lo is not None and shifted.lo[0] == 1e-20
 
@@ -264,7 +285,7 @@ def test_extended_carries_sub_ulp_information():
 def test_extended_deflection_edge_value_also_exact():
     rng = np.random.default_rng(47)
     coeffs = np.concatenate([[0.0], rng.uniform(-5, 5, 25)])
-    w = deflection_series(PolySeries(coeffs).to_extended())
+    w = deflection_series(_extended(PolySeries(coeffs)))
     assert w.evaluate(1.0) == 0.0
 
 
@@ -322,8 +343,8 @@ def test_extended_multiply_against_mpmath(block, monkeypatch):
     # double-double result must be the integer convolution itself
     for cap in (102, None):
         fi, gi = (rng.integers(-(1 << 26) + 1, 1 << 26, 101) for _ in range(2))
-        prod = multiply(PolySeries(fi.astype(float)).to_extended(),
-                        PolySeries(gi.astype(float)).to_extended(), max_degree=cap)
+        prod = multiply(_extended(PolySeries(fi.astype(float))),
+                        _extended(PolySeries(gi.astype(float))), max_degree=cap)
         want = [sum(int(fi[i]) * int(gi[k - i]) for i in range(max(0, k - 100), min(k, 100) + 1))
                 for k in range(len(prod.coeffs))]
         got = [Fraction(float(h)) + Fraction(float(l)) for h, l in zip(prod.coeffs, prod.lo)]

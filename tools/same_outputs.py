@@ -8,6 +8,12 @@ empty working directory of its own.  Compares stdout, stderr, exit code and
 every file the command wrote there, prints one line per command line, and
 exits 1 when any of them differs.  ``--deterministic`` is given to every
 command that accepts it, so wall-clock columns read 0.0.
+
+A differing command line is explained below its verdict: the first
+differing line of stdout or stderr from each tree, both exit codes, or the
+names of the differing files.  It is then run once more on both trees and
+labelled "also on rerun" or "not on rerun", which tells a one-off from a
+real change; either way it counts as differing.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ COMMANDS = (
     "compare-orders --a 5" + _D,
     "compare-baseline --Q 132.2 --theta 0.1" + _D,
     "compare-baseline --Q 132.2 --theta 1.0" + _D,
+    # the truncated baseline with lam != 0, converging in both methods
+    "compare-baseline --Q 10 --theta 0.3 --N 60 --boundary simple --c0 -0.3" + _D,
     # the two order-20 sweeps and the default 20-point grid
     "sweep-c0 --Q 5 --sweep-order 20",
     "sweep-c0 --a 5 --sweep-order 20",
@@ -54,6 +62,8 @@ COMMANDS = (
     # extended-precision series in both directions
     "solve-q --Q 5 --order 20 --format json" + _EXT + _D,
     "solve-a --a 5 --order 20 --format json" + _EXT + _D,
+    # a simply supported edge (lam != 0)
+    "solve-a --a 5 --boundary simple --format json" + _D,
     # diverging runs
     "solve-q --Q 1000 --c0 -1.5" + _D,
     "solve-q --Q 1000 --c0 -1.5 --iterate --max-iter 20" + _D,
@@ -64,6 +74,10 @@ COMMANDS = (
     # deflection profiles
     "curve --Q 5",
     "curve --a 5",
+    "curve --a 5" + _EXT,
+    # a zero load: the zero slope series has a flat profile
+    "curve --Q 0",
+    "curve --Q 0" + _EXT,
     # written files and an unwritable one
     "solve-q --Q 5 --out run.csv" + _D,
     "solve-a --a 5 --format json --out run.json" + _D,
@@ -92,6 +106,35 @@ def run(tree: Path, command: str) -> dict:
             "files": files}
 
 
+def _first_line(text: bytes, i: int) -> str:
+    line = text.splitlines(keepends=True)[i:i + 1]
+    return repr(line[0].decode(errors="replace")[:200]) if line else "(no line)"
+
+
+def differences(ours: dict, theirs: dict) -> list[str]:
+    """One line per part of two results that differs, saying how."""
+    out = []
+    for key in ("stdout", "stderr"):
+        a, b = ours[key], theirs[key]
+        if a != b:
+            pairs = zip(a.splitlines(keepends=True), b.splitlines(keepends=True))
+            i = next((i for i, (x, y) in enumerate(pairs) if x != y),
+                     min(len(a.splitlines()), len(b.splitlines())))
+            out.append(f"{key} line {i + 1}: this tree {_first_line(a, i)}, "
+                       f"parent {_first_line(b, i)}")
+    if ours["exit code"] != theirs["exit code"]:
+        out.append(f"exit code: this tree {ours['exit code']}, parent {theirs['exit code']}")
+    files = sorted(name for name in ours["files"].keys() | theirs["files"].keys()
+                   if ours["files"].get(name) != theirs["files"].get(name))
+    if files:
+        out.append(f"files: {', '.join(files)}")
+    return out
+
+
+def compare(parent: Path, command: str) -> list[str]:
+    return differences(run(ROOT, command), run(parent, command))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
@@ -101,11 +144,13 @@ def main(argv=None) -> int:
         parser.error(f"{args.parent} has no src/vkplate")
     differing = 0
     for command in COMMANDS:
-        ours, theirs = run(ROOT, command), run(args.parent, command)
-        diffs = [key for key in ours if ours[key] != theirs[key]]
-        differing += bool(diffs)
-        verdict = f"DIFFERS in {', '.join(diffs)}" if diffs else "same"
-        print(f"{verdict}: {command}", flush=True)
+        diffs = compare(args.parent, command)
+        if not diffs:
+            print(f"same: {command}", flush=True)
+            continue
+        differing += 1
+        again = "also on rerun" if compare(args.parent, command) else "not on rerun"
+        print(f"DIFFERS ({again}): {command}", *diffs, sep="\n    ", flush=True)
     print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} command lines identical")
     return 1 if differing else 0
 
