@@ -14,8 +14,8 @@ from .given_deflection import GivenDeflectionProblem
 from .given_deflection import solve as solve_deflection
 from .given_load import GivenLoadProblem
 from .given_load import solve as solve_load
-from .ham import HomotopyState, ResidualReport, residual_error
-from .interpolation import InterpState, equivalence_check
+from .ham import HomotopyState, residual_error
+from .interpolation import equivalence_check
 from .kernels import BoundarySpec
 from .physics import PhysicalPlate, deflection_curve, load_number, w_over_h
 from .polyseries import PolySeries, deflection_series
@@ -28,12 +28,10 @@ __all__ = [
     "GivenDeflectionProblem",
     "GivenLoadProblem",
     "HomotopyState",
-    "InterpState",
     "IterateMode",
     "OrderComparison",
     "PhysicalPlate",
     "PolySeries",
-    "ResidualReport",
     "RunReport",
     "SeriesMode",
     "SweepResult",

@@ -301,7 +301,7 @@ def cmd_sweep(sub, args):
         sub.error("empty control grid")
     mode = _checked(sub, SeriesMode, order=args.sweep_order)
     problem = _one_of_q_a(sub, args, mode, controls=(grid[0], grid[0]))
-    result = _checked(sub, sweep_c0, problem, grid, order=args.sweep_order)
+    result = _checked(sub, sweep_c0, problem, grid)
     _write_text(args.out, csv_text(("c0", "err", "status"),
                                    ((p.c0, p.err, p.status) for p in result.points)))
     if result.best is None:
@@ -335,9 +335,8 @@ def cmd_compare_baseline(sub, args):
     if not 0.0 < args.theta <= 1.0:
         sub.error("--theta must lie in (0, 1]")
     problem = _build_problem(sub, args, _iterate_mode(sub, args, args.M), "Q")
-    baseline = solve_baseline(args.Q, args.theta, boundary=problem.boundary,
-                              truncation=args.N, tol=args.tol,
-                              max_iter=args.max_iter, grid_size=args.grid_k)
+    baseline = solve_baseline(args.Q, args.theta, _iterate_mode(sub, args, 1),
+                              boundary=problem.boundary, grid_size=args.grid_k)
     ham = solve_problem(problem)
     rows = ((name, rec.iteration, rec.err, rec.q, rec.w0_over_h,
              0.0 if args.deterministic else rec.wall_ms)

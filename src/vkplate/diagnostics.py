@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .config import IterateMode, SeriesMode
+from .config import IterateMode
 from . import given_deflection, given_load
 from .given_deflection import GivenDeflectionProblem
 from .given_load import GivenLoadProblem
@@ -43,12 +43,14 @@ class SweepResult:
         return None if self.best is None else self.best.c0
 
 
-def sweep_c0(problem, c0_grid, order: int = 10) -> SweepResult:
-    """Residual of the plain series at a fixed order over a control grid.
+def sweep_c0(problem, c0_grid) -> SweepResult:
+    """Residual of the problem's own mode over a control grid.
 
-    Points are reported in grid order; ``best`` is the finite minimum
-    (None if every point diverged).  The residual valley around the
-    minimum is the usable control region.
+    Each grid value c0 replaces both controls of ``problem``, which is
+    then solved as configured, so a ``SeriesMode`` scores the plain
+    series at its order.  Points are reported in grid order; ``best`` is
+    the finite minimum (None if every point diverged).  The residual
+    valley around the minimum is the usable control region.
     """
     grid = [float(c) for c in c0_grid]
     if not grid:
@@ -58,7 +60,7 @@ def sweep_c0(problem, c0_grid, order: int = 10) -> SweepResult:
             raise ValueError(f"control value {c} outside (-2, 0)")
     points = []
     for c0 in grid:
-        run = solve_problem(replace(problem, c1=c0, c2=c0, mode=SeriesMode(order)))
+        run = solve_problem(replace(problem, c1=c0, c2=c0))
         points.append(SweepPoint(c0, run.err, run.status))
     finite = [p for p in points if math.isfinite(p.err)]
     best = min(finite, key=lambda p: p.err) if finite else None

@@ -102,6 +102,18 @@ class HomotopyState:
         return self.load if self.load is not None else math.fsum(self.q_terms)
 
 
+def truncation_rule(truncation: int | None):
+    """``(cap, keep)`` of a degree truncation: coupling products are computed
+    up to degree ``cap`` = truncation + 2 and right-hand sides are cut with
+    the slice ``keep`` to degrees 0..truncation.  No truncation gives
+    ``(None, slice(None))``; a negative one is a ``ValueError``."""
+    if truncation is None:
+        return None, slice(None)
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    return truncation + 2, slice(truncation + 1)
+
+
 def _coupling_sum(f_terms, g_terms, k, cap):
     """Convolution sum f_i * g_(k-1-i) over i = 0..k-1, capped in degree.
 
@@ -148,8 +160,7 @@ def deformation_step(state: HomotopyState, k: int, boundary: BoundarySpec,
         )
     if len(state.q_terms) != k - 1:
         raise OrderingError("load terms out of sequence")
-    cap = None if truncation is None else truncation + 2
-    keep = slice(None) if truncation is None else slice(truncation + 1)
+    cap, keep = truncation_rule(truncation)
 
     base = _slope_base(phi, s, k, boundary, cap)[..., keep]
     if state.load is None:
@@ -223,8 +234,7 @@ def staggered_pass(state: HomotopyState, boundary: BoundarySpec,
     """
     if state.load is None:
         raise OrderingError("staggered pass is defined for prescribed-load states")
-    cap = None if truncation is None else truncation + 2
-    keep = slice(None) if truncation is None else slice(truncation + 1)
+    cap, keep = truncation_rule(truncation)
     phi0, s0, load = state.phi_terms[0], state.s_terms[0], state.load
     d2 = _membrane_base([phi0], [s0], 1, boundary, cap)[..., keep]
     s_star = add(s0, scale(d2, state.c2))
@@ -235,25 +245,14 @@ def staggered_pass(state: HomotopyState, boundary: BoundarySpec,
     return HomotopyState([phi_star], [s_star], state.c1, state.c2, load)
 
 
-@dataclass
-class ResidualReport:
-    """Mean-square residual of both governing operators on a uniform grid."""
-
-    err: float
-    grid_size: int
-    points: np.ndarray | None = None
-    slope_residual: np.ndarray | None = None
-    membrane_residual: np.ndarray | None = None
-
-
 def residual_error(phi: PolySeries, s: PolySeries, load: float,
-                   boundary: BoundarySpec, grid_size: int = 100,
-                   keep_points: bool = False) -> ResidualReport:
-    """Evaluate N1 and N2 for a candidate pair and average the squares.
+                   boundary: BoundarySpec, grid_size: int = 100) -> float:
+    """Mean square of N1 and N2 for a candidate pair on a uniform grid.
 
     The operators are assembled without any truncation; the grid is the
     grid_size + 1 uniform points of [0, 1].  Both residuals vanish
-    identically at y = 0 by construction.
+    identically at y = 0 by construction: the pair, the kernel images and
+    the load image all have a zero constant term.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
@@ -268,11 +267,7 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
     if not ext:
         v1 = n1.evaluate_grid(ys)
         v2 = n2.evaluate_grid(ys)
-        err = math.fsum(v1 * v1) + math.fsum(v2 * v2)
-        err /= grid_size + 1
-        return ResidualReport(err, grid_size, ys if keep_points else None,
-                              v1 if keep_points else None,
-                              v2 if keep_points else None)
+        return (math.fsum(v1 * v1) + math.fsum(v2 * v2)) / (grid_size + 1)
     v1h, v1l = n1._horner_dd(ys)  # n1 and n2 are double-double when either input is
     v2h, v2l = n2._horner_dd(ys)
     vh, vl = np.concatenate((v1h, v2h)), np.concatenate((v1l, v2l))
@@ -280,10 +275,7 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
     sh, sl = dd.dot_rows(vh, vh)
     sh, sl = dd.quick_two_sum(sh, sl + 2.0 * np.dot(vh, vl))
     sh, sl = dd.div_d(sh, sl, float(grid_size + 1))
-    return ResidualReport(dd.to_float(sh, sl), grid_size,
-                          ys if keep_points else None,
-                          v1h if keep_points else None,
-                          v2h if keep_points else None)
+    return dd.to_float(sh, sl)
 
 
 def run_passes(passes, start, boundary: BoundarySpec, config: dict, *,
@@ -306,7 +298,7 @@ def run_passes(passes, start, boundary: BoundarySpec, config: dict, *,
     err = math.inf
     t0 = time.perf_counter()
     for iteration, order, phi, s, q in passes:
-        err = residual_error(phi, s, q, boundary, grid_size).err
+        err = residual_error(phi, s, q, boundary, grid_size)
         # W(0) = -integral of phi/y, reported in thickness units
         records.append(IterationRecord(iteration, order, err, q,
                                        w_over_h(phi.integral_over_y(), boundary.nu),

@@ -11,81 +11,68 @@ membrane response of the current slope iterate and then blends
 theta = 1 is the raw Picard map, which stops converging at moderate
 loads; small theta trades speed for reach.  ``step`` is written
 directly from that recurrence and shares nothing with the homotopy
-stepping, which is the point: ``equivalence_check`` runs both and
+stepping but the truncation rule (``vkplate.ham.truncation_rule``).
+That independence is the point: ``equivalence_check`` runs both and
 confirms they produce the same iterates when the homotopy is driven
-first-order, staggered, with c1 = -theta and c2 = -1.  Only the run
-bookkeeping (``vkplate.ham.run_passes``) is common to both solvers.
+first-order, staggered, with c1 = -theta and c2 = -1.  Besides that
+rule, only the run bookkeeping (``vkplate.ham.run_passes``) is common
+to both solvers.
 
 Like the homotopy recurrence, a sweep runs on float64 coefficient
-arrays and the array functions of :mod:`.polyseries`; ``InterpState``
-holds arrays, and ``solve`` wraps them in ``PolySeries`` only for the
-passes it hands to ``run_passes``.
+arrays and the array functions of :mod:`.polyseries`; ``solve`` wraps
+them in ``PolySeries`` only for the passes it hands to ``run_passes``.
+Its settings are an order-1 ``IterateMode``, because the scheme is the
+homotopy's first-order iteration: the truncation degree, the tolerance
+and the sweep budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import DEFAULT_GRID
-from .ham import HomotopyState, run_passes, staggered_pass
+from .config import DEFAULT_GRID, IterateMode
+from .ham import HomotopyState, run_passes, staggered_pass, truncation_rule
 from .kernels import BoundarySpec, forcing, kernel_map
 from .polyseries import PolySeries, add, convolve, over_y_squared, scale
 from .report import RunReport
 
 
-@dataclass
-class InterpState:
-    """One sweep of the interpolation iteration.
-
-    ``phi`` is the current slope iterate and ``psi`` the membrane response
-    computed during the latest sweep (None before the first one), both as
-    float64 coefficient arrays.
-    """
-
-    theta: float
-    load: float
-    boundary: BoundarySpec
-    phi: np.ndarray
-    psi: np.ndarray | None
-    iteration: int
-
-
 def initial_state(load: float, theta: float,
-                  boundary: BoundarySpec = BoundarySpec()) -> InterpState:
-    """First iterate: the load image scaled by -theta."""
+                  boundary: BoundarySpec = BoundarySpec()) -> np.ndarray:
+    """First slope iterate: the load image scaled by -theta."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta = {theta} outside (0, 1]")
-    return InterpState(theta, load, boundary, forcing(boundary, -theta * load), None,
-                       iteration=1)
+    return forcing(boundary, -theta * load)
 
 
-def step(state: InterpState, truncation: int | None = 100) -> InterpState:
-    """One sweep of the recurrence; degrees capped at the truncation."""
-    if truncation is not None and truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    b = state.boundary
-    cap = None if truncation is None else truncation + 2
-    keep = slice(None) if truncation is None else slice(truncation + 1)
-    phi, theta = state.phi, state.theta
-    psi = scale(kernel_map(over_y_squared(convolve(phi, phi, cap)), b.mu), 0.5)[keep]
-    coupling = kernel_map(over_y_squared(convolve(phi, psi, cap)), b.lam)[keep]
-    phi_next = add(add(scale(phi, 1.0 - theta), -forcing(b, theta * state.load)),
+def step(phi: np.ndarray, theta: float, load: float, boundary: BoundarySpec,
+         truncation: int | None = 100):
+    """One sweep of the recurrence from the slope iterate ``phi``.
+
+    Returns ``(phi_next, psi)``, psi being the membrane response of
+    ``phi``; degrees are capped at the truncation.
+    """
+    cap, keep = truncation_rule(truncation)
+    psi = scale(kernel_map(over_y_squared(convolve(phi, phi, cap)), boundary.mu), 0.5)[keep]
+    coupling = kernel_map(over_y_squared(convolve(phi, psi, cap)), boundary.lam)[keep]
+    phi_next = add(add(scale(phi, 1.0 - theta), -forcing(boundary, theta * load)),
                    -scale(coupling, theta))
-    return InterpState(theta, state.load, b, phi_next, psi, state.iteration + 1)
+    return phi_next, psi
 
 
-def solve(load: float, theta: float, boundary: BoundarySpec = BoundarySpec(),
-          truncation: int | None = 100, tol: float = 1e-12,
-          max_iter: int = 500, grid_size: int = DEFAULT_GRID) -> RunReport:
-    """Iterate to tolerance and report history in the standard schema."""
-    state = initial_state(load, theta, boundary)
+def solve(load: float, theta: float, mode: IterateMode = IterateMode(order=1),
+          boundary: BoundarySpec = BoundarySpec(),
+          grid_size: int = DEFAULT_GRID) -> RunReport:
+    """Sweep under an order-1 ``IterateMode`` (one sweep is one first-order
+    pass) and report history in the standard schema."""
+    if not (isinstance(mode, IterateMode) and mode.order == 1):
+        raise ValueError(f"the baseline runs an order-1 IterateMode, got {mode!r}")
+    phi = initial_state(load, theta, boundary)
 
-    def passes(state):
-        for it in range(1, max_iter + 1):
-            state = step(state, truncation)
-            yield it, it, PolySeries(state.phi), PolySeries(state.psi), load
+    def passes(phi):
+        for it in range(1, mode.max_iter + 1):
+            phi, psi = step(phi, theta, load, boundary, mode.truncation)
+            yield it, it, PolySeries(phi), PolySeries(psi), load
 
     cfg = {
         "solver": "interpolation",
@@ -93,13 +80,13 @@ def solve(load: float, theta: float, boundary: BoundarySpec = BoundarySpec(),
         "theta": theta,
         "boundary": boundary.kind,
         "nu": boundary.nu,
-        "truncation": truncation,
-        "tol": tol,
-        "max_iter": max_iter,
+        "truncation": mode.truncation,
+        "tol": mode.tol,
+        "max_iter": mode.max_iter,
         "grid_size": grid_size,
     }
-    start = (PolySeries(state.phi), PolySeries(np.zeros(1)), load)
-    return run_passes(passes(state), start, boundary, cfg, grid_size=grid_size, tol=tol,
+    start = (PolySeries(phi), PolySeries(np.zeros(1)), load)
+    return run_passes(passes(phi), start, boundary, cfg, grid_size=grid_size, tol=mode.tol,
                       stop_at_tol=True)
 
 
@@ -117,14 +104,14 @@ def equivalence_check(load: float, theta: float, iterations: int = 50,
     """
     if iterations < 1:
         raise ValueError(f"iterations = {iterations}; the check needs at least one sweep")
-    interp = initial_state(load, theta, boundary)
-    ham_state = HomotopyState([interp.phi], [np.zeros(1)], -theta, -1.0, load)
+    phi = initial_state(load, theta, boundary)
+    ham_state = HomotopyState([phi], [np.zeros(1)], -theta, -1.0, load)
     ys = np.linspace(0.0, 1.0, 101)
     worst = 0.0
     for _ in range(iterations):
-        interp = step(interp, truncation)
+        phi, psi = step(phi, theta, load, boundary, truncation)
         ham_state = staggered_pass(ham_state, boundary, truncation)
-        pairs = ((interp.phi, ham_state.phi_terms[0]), (interp.psi, ham_state.s_terms[0]))
+        pairs = ((phi, ham_state.phi_terms[0]), (psi, ham_state.s_terms[0]))
         for ours, theirs in pairs:
             ref = float(np.max(np.abs(PolySeries(theirs).evaluate_grid(ys))))
             gap = float(np.max(np.abs(PolySeries(add(ours, -theirs)).evaluate_grid(ys))))

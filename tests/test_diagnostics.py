@@ -10,12 +10,12 @@ from vkplate.given_deflection import GivenDeflectionProblem
 from vkplate.given_load import GivenLoadProblem
 
 
-def _load_problem(**kw):
-    return GivenLoadProblem.with_c0(5.0, -0.5, SeriesMode(10), **kw)
+def _load_problem(order=10, **kw):
+    return GivenLoadProblem.with_c0(5.0, -0.5, SeriesMode(order), **kw)
 
 
 def test_single_point_grid():
-    res = sweep_c0(_load_problem(), [-0.5], order=5)
+    res = sweep_c0(_load_problem(5), [-0.5])
     assert len(res.points) == 1
     assert res.best is res.points[0]
     assert res.best_c0 == -0.5
@@ -23,29 +23,29 @@ def test_single_point_grid():
 
 def test_rows_follow_grid_order():
     grid = [-0.9, -0.3, -0.6]
-    res = sweep_c0(_load_problem(), grid, order=5)
+    res = sweep_c0(_load_problem(5), grid)
     assert [p.c0 for p in res.points] == grid
 
 
 def test_sweep_validation():
     with pytest.raises(ValueError):
-        sweep_c0(_load_problem(), [], order=5)
+        sweep_c0(_load_problem(5), [])
     with pytest.raises(ValueError):
-        sweep_c0(_load_problem(), [-2.5], order=5)
+        sweep_c0(_load_problem(5), [-2.5])
     with pytest.raises(ValueError):
-        sweep_c0(_load_problem(), [0.1], order=5)
+        sweep_c0(_load_problem(5), [0.1])
 
 
 def test_sweep_handles_deflection_problems():
-    p = GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(10))
-    res = sweep_c0(p, [-0.4, -0.2], order=8)
+    p = GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(8))
+    res = sweep_c0(p, [-0.4, -0.2])
     assert len(res.points) == 2
     assert all(math.isfinite(pt.err) for pt in res.points)
 
 
 def test_divergent_point_recorded_not_raised():
-    p = GivenLoadProblem.with_c0(1000.0, -0.5, SeriesMode(10))
-    res = sweep_c0(p, [-1.99, -0.02], order=40)
+    p = GivenLoadProblem.with_c0(1000.0, -0.5, SeriesMode(40))
+    res = sweep_c0(p, [-1.99, -0.02])
     statuses = {pt.c0: pt.status for pt in res.points}
     assert statuses[-1.99] == "diverged"
     # the best point skips non-finite residuals
@@ -53,8 +53,9 @@ def test_divergent_point_recorded_not_raised():
 
 
 def test_sweep_uses_the_requested_order():
-    coarse = sweep_c0(_load_problem(), [-0.5], order=3).best.err
-    fine = sweep_c0(_load_problem(), [-0.5], order=25).best.err
+    # the order is the problem's SeriesMode
+    coarse = sweep_c0(_load_problem(3), [-0.5]).best.err
+    fine = sweep_c0(_load_problem(25), [-0.5]).best.err
     assert fine < coarse
 
 

@@ -28,8 +28,9 @@ from vkplate.kernels import (
     apply_membrane_kernel,
     apply_slope_kernel,
     forcing,
+    kernel_map,
 )
-from vkplate.polyseries import PolySeries, multiply, widen
+from vkplate.polyseries import PolySeries, convolve, multiply, over_y_squared, widen
 
 import oracles
 from oracles import kernel_value
@@ -196,6 +197,17 @@ def test_truncated_deflection_step_keeps_side_condition():
         assert abs(phi.integral_over_y() + 5.0) < 1e-12
 
 
+def test_negative_truncation_is_rejected():
+    # a negative cut used to give a wrong slope term and an empty membrane
+    # term here, and an uncut slope in the staggered pass
+    state = _load_state(5.0, -0.6)
+    with pytest.raises(ValueError):
+        deformation_step(state, 1, B, truncation=-1)
+    assert state.q_terms == [] and len(state.phi_terms) == 1
+    with pytest.raises(ValueError):
+        staggered_pass(state, B, truncation=-1)
+
+
 def test_iterate_pass_collapses_partial_sums():
     state = _load_state(5.0, -0.6)
     fresh = iterate_pass(state, 3, 30, B)
@@ -245,8 +257,7 @@ def test_staggered_pass_rejects_deflection_states():
 
 
 def test_residual_zero_for_zero_load_zero_solution():
-    rep = residual_error(ZERO, ZERO, 0.0, B)
-    assert rep.err == 0.0
+    assert residual_error(ZERO, ZERO, 0.0, B) == 0.0
 
 
 def test_residuals_vanish_at_origin():
@@ -254,9 +265,13 @@ def test_residuals_vanish_at_origin():
     for k in (1, 2, 3):
         deformation_step(state, k, B)
     phi, s = _partial_sums(state)
-    rep = residual_error(phi, s, 5.0, B, grid_size=10, keep_points=True)
-    assert rep.slope_residual[0] == 0.0
-    assert rep.membrane_residual[0] == 0.0
+    # at y = 0 each operator is the sum of its terms' constant coefficients:
+    # the partial sums', the kernel images' and the load image's, all zero
+    assert phi.array[0] == 0.0 and s.array[0] == 0.0
+    for f, w in ((convolve(phi.array, s.array), B.lam),
+                 (convolve(phi.array, phi.array), B.mu)):
+        assert kernel_map(over_y_squared(f), w)[0] == 0.0
+    assert forcing(B, 5.0)[0] == 0.0
 
 
 def test_residual_against_quadrature_oracle():
@@ -286,7 +301,7 @@ def test_residual_against_quadrature_oracle():
 
     want = sum(n1_at(float(t)) ** 2 + n2_at(float(t)) ** 2 for t in ys)
     want /= grid_size + 1
-    got = residual_error(phi, s, q, B, grid_size=grid_size).err
+    got = residual_error(phi, s, q, B, grid_size=grid_size)
     assert math.isclose(got, want, rel_tol=1e-9)
 
 
@@ -295,9 +310,9 @@ def test_residual_extended_matches_double():
     for k in (1, 2, 3, 4):
         deformation_step(state, k, B)
     phi, s = _partial_sums(state)
-    plain = residual_error(phi, s, 5.0, B).err
+    plain = residual_error(phi, s, 5.0, B)
     ext = residual_error(*(PolySeries.from_array(widen(p.array)) for p in (phi, s)),
-                         5.0, B).err
+                         5.0, B)
     assert math.isclose(plain, ext, rel_tol=1e-12)
 
 

@@ -42,10 +42,14 @@ COMMANDS = (
     "compare-baseline --Q 132.2 --theta 1.0" + _D,
     # the truncated baseline with lam != 0, converging in both methods
     "compare-baseline --Q 10 --theta 0.3 --N 60 --boundary simple --c0 -0.3" + _D,
+    # a non-default degree, budget and tolerance must all reach the baseline
+    "compare-baseline --Q 10 --theta 0.3 --N 10 --max-iter 7 --tol 1e-9" + _D,
     # the two order-20 sweeps and the default 20-point grid
     "sweep-c0 --Q 5 --sweep-order 20",
     "sweep-c0 --a 5 --sweep-order 20",
     "sweep-c0 --Q 5 --c0-min -0.99875 --c0-max -0.04875 --c0-step 0.01",
+    # a non-default series order must reach every grid point
+    "sweep-c0 --a 3 --sweep-order 7 --c0-min -0.9 --c0-max -0.1 --c0-step 0.2",
     # series, iterate and extended solves, as CSV and as JSON
     "solve-q --Q 5" + _D,
     "solve-q --Q 5 --format json" + _D,
