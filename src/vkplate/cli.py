@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import DEFAULT_GRID, IterateMode, SeriesMode
+from .config import PRECISIONS, IterateMode, SeriesMode
 from .diagnostics import compare_orders, solve_problem, sweep_c0
 from .given_deflection import GivenDeflectionProblem
 from .given_deflection import empirical_c0 as empirical_c0_a
@@ -56,21 +56,19 @@ def _add_common(sub, omit=()):
         help="series order for the plain mode (default: 10)")
     add("--iterate", action="store_true",
         help="repeat truncated low-order passes instead of one long series")
-    add("--M", type=int, default=5, dest="M",
-        help="terms per pass in iterate mode (default: 5)")
-    add("--N", type=int, default=100, dest="N",
-        help="degree cap per pass in iterate mode (default: 100)")
-    add("--tol", type=float, default=1e-12,
-        help="residual tolerance (default: 1e-12)")
-    add("--max-iter", type=int, default=500,
-        help="pass budget in iterate mode (default: 500)")
+    add("--M", type=int, default=IterateMode.order, dest="M",
+        help="terms per pass in iterate mode (default: %(default)s)")
+    add("--N", type=int, default=IterateMode.truncation, dest="N",
+        help="degree cap per pass in iterate mode (default: %(default)s)")
+    add("--tol", type=float, default=IterateMode.tol,
+        help="residual tolerance (default: %(default)s)")
+    add("--max-iter", type=int, default=IterateMode.max_iter,
+        help="pass budget in iterate mode (default: %(default)s)")
     add("--boundary", choices=BOUNDARY_KINDS, default="clamped",
         help="edge support kind (default: clamped)")
     add("--nu", type=float, default=0.3,
         help="Poisson ratio (default: 0.3)")
-    add("--grid-K", type=int, default=DEFAULT_GRID, dest="grid_k",
-        help="residual grid: K+1 uniform points (default: 100)")
-    add("--precision", choices=("double", "extended"), default="double",
+    add("--precision", choices=PRECISIONS, default="double",
         help="coefficient arithmetic (default: double)")
     add("--out", type=Path, default=None,
         help="write the report here instead of stdout")
@@ -150,8 +148,8 @@ def build_parser():
     tb = register("tables", "reproduce the seven benchmark tables", cmd_tables)
     tb.add_argument("--out-dir", type=Path, default=Path("tables"),
                     help="directory for table1.csv .. table7.csv (default: tables)")
-    tb.add_argument("--tol", type=float, default=1e-12)
-    tb.add_argument("--max-iter", type=int, default=500)
+    tb.add_argument("--tol", type=float, default=IterateMode.tol)
+    tb.add_argument("--max-iter", type=int, default=IterateMode.max_iter)
     tb.add_argument("--config", type=Path, default=None)
 
     return parser, registry
@@ -272,7 +270,7 @@ def _build_problem(sub, args, mode, target, controls=None):
     c1, c2 = controls or _resolve_controls(sub, args, value, empirical, mode)
     boundary = _checked(sub, BoundarySpec, args.boundary, args.nu)
     return _checked(sub, cls, **{field: float(value)}, c1=c1, c2=c2, mode=mode,
-                    boundary=boundary, grid_size=args.grid_k, precision=args.precision)
+                    boundary=boundary, precision=args.precision)
 
 
 def cmd_solve(sub, args):
@@ -336,7 +334,7 @@ def cmd_compare_baseline(sub, args):
         sub.error("--theta must lie in (0, 1]")
     problem = _build_problem(sub, args, _iterate_mode(sub, args, args.M), "Q")
     baseline = solve_baseline(args.Q, args.theta, _iterate_mode(sub, args, 1),
-                              boundary=problem.boundary, grid_size=args.grid_k)
+                              boundary=problem.boundary)
     ham = solve_problem(problem)
     rows = ((name, rec.iteration, rec.err, rec.q, rec.w0_over_h,
              0.0 if args.deterministic else rec.wall_ms)

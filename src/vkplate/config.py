@@ -8,8 +8,8 @@ from dataclasses import dataclass
 #: Residual threshold above which a run is declared divergent.
 DIVERGENCE_ERR = 1e8
 
-#: Default residual grid: squares averaged over grid_size + 1 uniform points.
-DEFAULT_GRID = 100
+#: Residual grid: squares averaged over GRID + 1 uniform points of [0, 1].
+GRID = 100
 
 PRECISIONS = ("double", "extended")
 
@@ -59,23 +59,21 @@ class IterateMode:
 
 
 def check_settings(problem):
-    """Shared checks of a homotopy problem: nonzero finite controls, a known
-    precision and a residual grid of at least one interval."""
+    """Shared checks of a homotopy problem: nonzero finite controls and a
+    known precision."""
     for name in ("c1", "c2"):
         c = getattr(problem, name)
         if not math.isfinite(c) or c == 0.0:
             raise ValueError(f"{name} must be a nonzero finite real, got {c}")
     if problem.precision not in PRECISIONS:
         raise ValueError(f"precision {problem.precision!r} not one of {PRECISIONS}")
-    if problem.grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
 
 
 def config_echo(problem, head: dict) -> dict:
     """Run settings of a homotopy problem, after the solver's own ``head`` keys."""
     mode = problem.mode
     cfg = dict(head, c1=problem.c1, c2=problem.c2, boundary=problem.boundary.kind,
-               nu=problem.boundary.nu, grid_size=problem.grid_size,
+               nu=problem.boundary.nu, grid_size=GRID,
                precision=problem.precision)
     if isinstance(mode, SeriesMode):
         cfg.update(mode="series", order=mode.order)

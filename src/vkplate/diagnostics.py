@@ -38,10 +38,6 @@ class SweepResult:
     points: tuple
     best: SweepPoint | None
 
-    @property
-    def best_c0(self):
-        return None if self.best is None else self.best.c0
-
 
 def sweep_c0(problem, c0_grid) -> SweepResult:
     """Residual of the problem's own mode over a control grid.

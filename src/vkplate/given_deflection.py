@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ham
-from .config import DEFAULT_GRID, IterateMode, SeriesMode, check_settings
+from .config import IterateMode, SeriesMode, check_settings
 from .kernels import BoundarySpec, forcing
 from .report import RunReport
 
@@ -33,7 +33,6 @@ class GivenDeflectionProblem:
     c2: float
     mode: SeriesMode | IterateMode
     boundary: BoundarySpec = BoundarySpec()
-    grid_size: int = DEFAULT_GRID
     precision: str = "double"
 
     def __post_init__(self):

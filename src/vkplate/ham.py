@@ -46,7 +46,7 @@ from functools import reduce
 import numpy as np
 
 from . import ddouble as dd
-from .config import DIVERGENCE_ERR, IterateMode, SeriesMode, config_echo
+from .config import DIVERGENCE_ERR, GRID, IterateMode, SeriesMode, config_echo
 from .kernels import (
     BoundarySpec,
     apply_membrane_kernel,
@@ -106,11 +106,12 @@ def truncation_rule(truncation: int | None):
     """``(cap, keep)`` of a degree truncation: coupling products are computed
     up to degree ``cap`` = truncation + 2 and right-hand sides are cut with
     the slice ``keep`` to degrees 0..truncation.  No truncation gives
-    ``(None, slice(None))``; a negative one is a ``ValueError``."""
+    ``(None, slice(None))``; one below 2 is a ``ValueError``, because the
+    guess and the forcing, which no cut reaches, have degree 2."""
     if truncation is None:
         return None, slice(None)
-    if truncation < 0:
-        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    if truncation < 2:
+        raise ValueError(f"truncation must be >= 2, got {truncation}")
     return truncation + 2, slice(truncation + 1)
 
 
@@ -246,16 +247,14 @@ def staggered_pass(state: HomotopyState, boundary: BoundarySpec,
 
 
 def residual_error(phi: PolySeries, s: PolySeries, load: float,
-                   boundary: BoundarySpec, grid_size: int = 100) -> float:
-    """Mean square of N1 and N2 for a candidate pair on a uniform grid.
+                   boundary: BoundarySpec) -> float:
+    """Mean square of N1 and N2 for a candidate pair on the residual grid.
 
     The operators are assembled without any truncation; the grid is the
-    grid_size + 1 uniform points of [0, 1].  Both residuals vanish
+    ``config.GRID`` + 1 uniform points of [0, 1].  Both residuals vanish
     identically at y = 0 by construction: the pair, the kernel images and
     the load image all have a zero constant term.
     """
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
     ext = phi.extended or s.extended
     n1 = phi + apply_slope_kernel(multiply(phi, s).divided_by_y_squared(), boundary)
     if load != 0.0:
@@ -263,34 +262,33 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
     n2 = s + apply_membrane_kernel(
         multiply(phi, phi).divided_by_y_squared(), boundary
     ).scaled(-0.5)
-    ys = np.linspace(0.0, 1.0, grid_size + 1)
+    ys = np.linspace(0.0, 1.0, GRID + 1)
     if not ext:
         v1 = n1.evaluate_grid(ys)
         v2 = n2.evaluate_grid(ys)
-        return (math.fsum(v1 * v1) + math.fsum(v2 * v2)) / (grid_size + 1)
+        return (math.fsum(v1 * v1) + math.fsum(v2 * v2)) / (GRID + 1)
     v1h, v1l = n1._horner_dd(ys)  # n1 and n2 are double-double when either input is
     v2h, v2l = n2._horner_dd(ys)
     vh, vl = np.concatenate((v1h, v2h)), np.concatenate((v1l, v2l))
     # the sum of squares: vh**2 compensated by dot_rows, 2 vh vl in float64
     sh, sl = dd.dot_rows(vh, vh)
     sh, sl = dd.quick_two_sum(sh, sl + 2.0 * np.dot(vh, vl))
-    sh, sl = dd.div_d(sh, sl, float(grid_size + 1))
+    sh, sl = dd.div_d(sh, sl, float(GRID + 1))
     return dd.to_float(sh, sl)
 
 
-def run_passes(passes, start, boundary: BoundarySpec, config: dict, *,
-               grid_size: int, tol: float,
-               stop_at_tol: bool) -> RunReport:
-    """Score, record and classify the passes of one solve.
+def run_passes(passes, start, boundary: BoundarySpec, config: dict,
+               mode: SeriesMode | IterateMode) -> RunReport:
+    """Score, record and classify the passes of one solve under ``mode``.
 
     ``passes`` yields ``(iteration, order, phi, s, q)``; ``start`` is the
     ``(phi, s, q)`` reported if it yields nothing.  Each pass gets one
     residual evaluation and one history record.  A non-finite residual
     or one above ``DIVERGENCE_ERR`` ends the run as diverged; an order-0
     record is the starting guess, not a pass, and is never judged
-    diverged.  With ``stop_at_tol`` the run ends at the first residual
-    at or below ``tol``; otherwise it runs out the passes and the last
-    residual decides between converged and max_iter.
+    diverged.  An ``IterateMode`` run ends at the first residual at or
+    below ``mode.tol``; a ``SeriesMode`` run takes every pass, and its
+    last residual decides between converged and max_iter.
     """
     phi, s, q = start
     records = []
@@ -298,7 +296,7 @@ def run_passes(passes, start, boundary: BoundarySpec, config: dict, *,
     err = math.inf
     t0 = time.perf_counter()
     for iteration, order, phi, s, q in passes:
-        err = residual_error(phi, s, q, boundary, grid_size)
+        err = residual_error(phi, s, q, boundary)
         # W(0) = -integral of phi/y, reported in thickness units
         records.append(IterationRecord(iteration, order, err, q,
                                        w_over_h(phi.integral_over_y(), boundary.nu),
@@ -306,9 +304,9 @@ def run_passes(passes, start, boundary: BoundarySpec, config: dict, *,
         if order > 0 and (not math.isfinite(err) or err > DIVERGENCE_ERR):
             status = "diverged"
             break
-        if stop_at_tol and err <= tol:
+        if isinstance(mode, IterateMode) and err <= mode.tol:
             break
-    if status == "max_iter" and err <= tol:
+    if status == "max_iter" and err <= mode.tol:
         status = "converged"
     samples = [(y, wv) for y, _, wv, _ in deflection_curve(phi, boundary.nu, 11)]
     return RunReport(config=config, history=records, phi=phi, s=s, q=q,
@@ -333,6 +331,4 @@ def solve(problem, phi0: np.ndarray, load: float | None, head: dict,
     passes = homotopy_passes(state, mode, b)
     if load is not None and isinstance(mode, SeriesMode):
         passes = itertools.chain([(0, 0, phi0, s0, load)], passes)
-    return run_passes(watch(passes), (phi0, s0, state.q), b, config_echo(problem, head),
-                      grid_size=problem.grid_size, tol=mode.tol,
-                      stop_at_tol=isinstance(mode, IterateMode))
+    return run_passes(watch(passes), (phi0, s0, state.q), b, config_echo(problem, head), mode)

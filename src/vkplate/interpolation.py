@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_GRID, IterateMode
+from .config import GRID, IterateMode
 from .ham import HomotopyState, run_passes, staggered_pass, truncation_rule
 from .kernels import BoundarySpec, forcing, kernel_map
 from .polyseries import PolySeries, add, convolve, over_y_squared, scale
@@ -46,7 +46,7 @@ def initial_state(load: float, theta: float,
 
 
 def step(phi: np.ndarray, theta: float, load: float, boundary: BoundarySpec,
-         truncation: int | None = 100):
+         truncation: int | None = IterateMode.truncation):
     """One sweep of the recurrence from the slope iterate ``phi``.
 
     Returns ``(phi_next, psi)``, psi being the membrane response of
@@ -61,8 +61,7 @@ def step(phi: np.ndarray, theta: float, load: float, boundary: BoundarySpec,
 
 
 def solve(load: float, theta: float, mode: IterateMode = IterateMode(order=1),
-          boundary: BoundarySpec = BoundarySpec(),
-          grid_size: int = DEFAULT_GRID) -> RunReport:
+          boundary: BoundarySpec = BoundarySpec()) -> RunReport:
     """Sweep under an order-1 ``IterateMode`` (one sweep is one first-order
     pass) and report history in the standard schema."""
     if not (isinstance(mode, IterateMode) and mode.order == 1):
@@ -83,21 +82,20 @@ def solve(load: float, theta: float, mode: IterateMode = IterateMode(order=1),
         "truncation": mode.truncation,
         "tol": mode.tol,
         "max_iter": mode.max_iter,
-        "grid_size": grid_size,
+        "grid_size": GRID,
     }
     start = (PolySeries(phi), PolySeries(np.zeros(1)), load)
-    return run_passes(passes(phi), start, boundary, cfg, grid_size=grid_size, tol=mode.tol,
-                      stop_at_tol=True)
+    return run_passes(passes(phi), start, boundary, cfg, mode)
 
 
 def equivalence_check(load: float, theta: float, iterations: int = 50,
-                      truncation: int | None = 100,
+                      truncation: int | None = IterateMode.truncation,
                       boundary: BoundarySpec = BoundarySpec()) -> float:
     """Largest relative sup-norm gap between the two codepaths.
 
     Runs the interpolation recurrence and the staggered first-order
     homotopy (c1 = -theta, c2 = -1) side by side from the same first
-    iterate and compares both function pairs on a uniform grid after
+    iterate and compares both function pairs on the residual grid after
     every sweep.  Agreement to rounding is the executable proof that
     the classical scheme is that homotopy special case, so at least one
     sweep is required.
@@ -106,7 +104,7 @@ def equivalence_check(load: float, theta: float, iterations: int = 50,
         raise ValueError(f"iterations = {iterations}; the check needs at least one sweep")
     phi = initial_state(load, theta, boundary)
     ham_state = HomotopyState([phi], [np.zeros(1)], -theta, -1.0, load)
-    ys = np.linspace(0.0, 1.0, 101)
+    ys = np.linspace(0.0, 1.0, GRID + 1)
     worst = 0.0
     for _ in range(iterations):
         phi, psi = step(phi, theta, load, boundary, truncation)

@@ -227,12 +227,12 @@ def test_control_sweep_minima():
     grid = [round(c, 2) for c in np.arange(-1.0, -0.04, 0.05)]
     q_sweep = sweep_c0(GivenLoadProblem.with_c0(5.0, -0.5, SeriesMode(20)), grid)
     a_best = sweep_c0(GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(20)),
-                      grid).best_c0
+                      grid).best.c0
     b = BoundarySpec()
     oracle = {c0: _quadrature_err(*_documented_load_series(5.0, c0, 20, b), 5.0, b)
               for c0 in grid}
     gap = max(abs(p.err / oracle[p.c0] - 1.0) for p in q_sweep.points)
-    q_best = q_sweep.best_c0
+    q_best = q_sweep.best.c0
     o_best = min(oracle, key=oracle.get)
     q_ok = (gap <= 1e-9 and q_best == o_best
             and f"{oracle[-0.35]:.1e}" == "6.5e-05")

@@ -304,7 +304,7 @@ _ORDERS = ["compare-orders", "--Q", "5", "--c0", "-0.5", "--N", "20", "--max-ite
 @pytest.mark.parametrize("argv,entries", [
     (_SOLVE_Q, {"order": 2.5}),
     (_SOLVE_Q, {"M": 2.0}),
-    (_SOLVE_Q, {"grid_k": 10.5}),
+    (_SOLVE_Q, {"N": 10.5}),
     (_ORDERS, {"m_set": [1, 2]}),
     (_SOLVE_Q, {"boundary": "weird"}),
     (_SOLVE_Q, {"iterate": "yes"}),

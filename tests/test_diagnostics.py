@@ -18,7 +18,7 @@ def test_single_point_grid():
     res = sweep_c0(_load_problem(5), [-0.5])
     assert len(res.points) == 1
     assert res.best is res.points[0]
-    assert res.best_c0 == -0.5
+    assert res.best.c0 == -0.5
 
 
 def test_rows_follow_grid_order():

@@ -23,8 +23,6 @@ def test_problem_validation():
         GivenLoadProblem(5.0, 0.0, -0.5, SeriesMode(5))
     with pytest.raises(ValueError):
         GivenLoadProblem(5.0, -0.5, -0.5, SeriesMode(5), precision="quad")
-    with pytest.raises(ValueError):
-        GivenLoadProblem(5.0, -0.5, -0.5, SeriesMode(5), grid_size=0)
     # a NaN tolerance fails every comparison, so it is rejected, not ignored
     with pytest.raises(ValueError):
         SeriesMode(5, tol=float("nan"))

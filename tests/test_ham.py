@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vkplate.config import IterateMode
+from vkplate import interpolation
+from vkplate.config import GRID, IterateMode
 from vkplate.ham import (
     HomotopyState,
     OrderingError,
@@ -199,13 +200,17 @@ def test_truncated_deflection_step_keeps_side_condition():
 
 def test_negative_truncation_is_rejected():
     # a negative cut used to give a wrong slope term and an empty membrane
-    # term here, and an uncut slope in the staggered pass
-    state = _load_state(5.0, -0.6)
-    with pytest.raises(ValueError):
-        deformation_step(state, 1, B, truncation=-1)
-    assert state.q_terms == [] and len(state.phi_terms) == 1
-    with pytest.raises(ValueError):
-        staggered_pass(state, B, truncation=-1)
+    # term here, and an uncut slope in the staggered pass; a cut at 0 or 1
+    # stored degree-2 terms, since the guess and the forcing have degree 2
+    for n in (-1, 0, 1):
+        state = _load_state(5.0, -0.6)
+        with pytest.raises(ValueError):
+            deformation_step(state, 1, B, truncation=n)
+        assert state.q_terms == [] and len(state.phi_terms) == 1
+        with pytest.raises(ValueError):
+            staggered_pass(state, B, truncation=n)
+        with pytest.raises(ValueError):
+            interpolation.step(state.phi_terms[0], 0.4, 5.0, B, truncation=n)
 
 
 def test_iterate_pass_collapses_partial_sums():
@@ -280,8 +285,7 @@ def test_residual_against_quadrature_oracle():
     phi = PolySeries(np.concatenate([[0.0], rng.uniform(-0.5, 0.5, 4)]))
     s = PolySeries(np.concatenate([[0.0], rng.uniform(-0.5, 0.5, 3)]))
     q = 2.0
-    grid_size = 8
-    ys = np.linspace(0.0, 1.0, grid_size + 1)
+    ys = np.linspace(0.0, 1.0, GRID + 1)
 
     def n1_at(t):
         def integrand(e):
@@ -300,8 +304,8 @@ def test_residual_against_quadrature_oracle():
         return s.evaluate(t) - 0.5 * (lo + hi)
 
     want = sum(n1_at(float(t)) ** 2 + n2_at(float(t)) ** 2 for t in ys)
-    want /= grid_size + 1
-    got = residual_error(phi, s, q, B, grid_size=grid_size)
+    want /= GRID + 1
+    got = residual_error(phi, s, q, B)
     assert math.isclose(got, want, rel_tol=1e-9)
 
 
@@ -314,11 +318,6 @@ def test_residual_extended_matches_double():
     ext = residual_error(*(PolySeries.from_array(widen(p.array)) for p in (phi, s)),
                          5.0, B)
     assert math.isclose(plain, ext, rel_tol=1e-12)
-
-
-def test_residual_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        residual_error(ZERO, ZERO, 0.0, B, grid_size=0)
 
 
 def test_coupling_sum_without_y_squared_factor_raises():

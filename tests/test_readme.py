@@ -1,5 +1,6 @@
-"""The README's library example runs and prints what it promises, and
-every command line of its CLI block exits 0."""
+"""The README's library example runs and prints what it promises, every
+command line of its CLI block exits 0, and its list of config keys that
+are not spelled like their flags is the parser's."""
 
 import contextlib
 import io
@@ -36,3 +37,15 @@ def test_cli_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert cli.main(shlex.split(line)[1:]) == 0, line
+
+
+def test_config_key_exceptions_match_the_parser():
+    # a config key is a flag's destination; list those not spelled as the
+    # flag without its dashes, with - as _
+    _, registry = cli.build_parser()
+    want = {a.dest: a.option_strings[0] for sub in registry.values()
+            for a in sub._actions if a.option_strings and a.dest != "help"
+            and a.dest != a.option_strings[0].lstrip("-").replace("-", "_")}
+    sentence = re.search(r"destination names:.*?except(.*?)\.\s",
+                         README.read_text(encoding="utf-8"), re.S).group(1)
+    assert dict(re.findall(r"`(\w+)` for `(--[\w-]+)`", sentence)) == want
