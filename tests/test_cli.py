@@ -100,6 +100,35 @@ def test_divergence_exit_code():
     assert code == 2
 
 
+def test_stalled_exit_code_and_report(tmp_path):
+    # table 7's a = 30 row at N = 100 has its best residual at pass 102 and
+    # stops STALL_PASSES passes later; its err and q stay within the bounds
+    # the benchmark sets for that row against its value at pass 500
+    path = tmp_path / "a30.json"
+    code = run_cli(["solve-a", "--a", "30", "--iterate", "--format", "json",
+                    "--out", str(path)])
+    assert code == 3
+    payload = json.loads(path.read_text())
+    errs = [rec["err"] for rec in payload["history"]]
+    assert payload["status"] == "stalled"
+    assert len(errs) == 152 and errs.index(min(errs)) == 101
+    assert payload["err"] <= 1.1 * 3.346156182749392e-07
+    assert abs(payload["q"] / 24665.72281234058 - 1.0) <= 3e-6
+
+
+@pytest.mark.parametrize("argv, code", [
+    # both methods stall on the N = 10 floor
+    (["compare-baseline", "--Q", "10", "--theta", "0.3", "--N", "10", "--tol", "1e-30"], 3),
+    # a diverged baseline outranks a stalled homotopy run
+    (["compare-baseline", "--Q", "132.2", "--theta", "1.0", "--N", "20", "--tol", "1e-30"], 2),
+    # the surveys report stalled runs in their output, not in their exit code
+    (["compare-orders", "--Q", "10", "--c0", "-0.3", "--M-set", "2", "--N", "10",
+      "--tol", "1e-30"], 0),
+])
+def test_stalled_runs_in_comparisons(argv, code):
+    assert run_cli(argv + ["--out", os.devnull]) == code
+
+
 def test_unwritable_output_path(tmp_path):
     code = run_cli(["solve-q", "--Q", "1", "--order", "2",
                     "--out", str(tmp_path / "no" / "such" / "dir" / "f.csv")])
