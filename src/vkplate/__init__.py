@@ -3,7 +3,7 @@ in integral form.
 
 The package provides the homotopy-series solver in prescribed-load and
 prescribed-deflection modes, the classical interpolation iteration as a
-baseline (with an executable equivalence check), and supporting
+baseline (run as the homotopy's first-order iteration), and supporting
 polynomial, kernel and reporting machinery.  See the README for the
 command-line interface.
 """
@@ -15,7 +15,6 @@ from .given_deflection import solve as solve_deflection
 from .given_load import GivenLoadProblem
 from .given_load import solve as solve_load
 from .ham import HomotopyState, residual_error
-from .interpolation import equivalence_check
 from .kernels import BoundarySpec
 from .physics import PhysicalPlate, deflection_curve, load_number, w_over_h
 from .polyseries import PolySeries, deflection_series
@@ -39,7 +38,6 @@ __all__ = [
     "deflection_curve",
     "deflection_series",
     "emit_report",
-    "equivalence_check",
     "load_number",
     "residual_error",
     "solve_deflection",

@@ -231,8 +231,8 @@ def staggered_pass(state: HomotopyState, boundary: BoundarySpec,
 
     Updating ``s`` first and letting the slope equation see the updated
     value reproduces, with c1 = -theta and c2 = -1, the classical
-    interpolation iteration step; this is the schedule the equivalence
-    check drives.
+    interpolation iteration step; ``vkplate.interpolation.solve`` runs the
+    baseline on it.
     """
     if state.load is None:
         raise OrderingError("staggered pass is defined for prescribed-load states")

@@ -6,18 +6,29 @@ operations, as the solvers ran them before they moved onto plain
 coefficient arrays: the homotopy deformation step and staggered pass,
 term by term, filling a ``HomotopyState`` whose terms are ``PolySeries``,
 and one sweep of the interpolation baseline.  The array code of
-``vkplate.ham`` and ``vkplate.interpolation`` must reproduce them bit for
-bit.
+``vkplate.ham`` must reproduce the first two bit for bit.
+
+The baseline sweep is the paper's independent spelling of the relaxed
+fixed-point iteration.  ``baseline_sweeps`` runs it beside
+``ham.staggered_pass`` at c1 = -theta, c2 = -1, the pass the baseline
+solver runs on; the two differ only in rounding, and ``grid_gap`` measures
+by how much.
 """
 
+import numpy as np
+
+from vkplate.config import GRID_POINTS
 from vkplate.ham import HomotopyState, OrderingError
+from vkplate.ham import staggered_pass as ham_staggered_pass
+from vkplate.interpolation import initial_state
 from vkplate.kernels import (
+    BoundarySpec,
     apply_membrane_kernel,
     apply_slope_kernel,
     forcing,
     forcing_integral,
 )
-from vkplate.polyseries import PolySeries, multiply
+from vkplate.polyseries import PolySeries, add, multiply
 
 
 def kernel_value(y: float, e: float, w: float) -> float:
@@ -133,3 +144,24 @@ def interpolation_step(phi, theta, load, boundary, truncation=100):
                 + _scaled_forcing(boundary, -theta * load, False)
                 + coupling.scaled(-theta))
     return phi_next, psi
+
+
+def baseline_sweeps(load, theta, sweeps, truncation=100, boundary=BoundarySpec()):
+    """Run ``ham.staggered_pass`` (c1 = -theta, c2 = -1) and ``interpolation_step``
+    side by side from the same first iterate.  Yields, after each sweep, the
+    pairs (phi, reference phi) and (s, reference psi): an array and a
+    ``PolySeries``."""
+    phi = initial_state(load, theta, boundary)
+    state = HomotopyState([phi], [np.zeros(1)], -theta, -1.0, load)
+    ref = PolySeries(phi)
+    for _ in range(sweeps):
+        state = ham_staggered_pass(state, boundary, truncation)
+        ref, ref_psi = interpolation_step(ref, theta, load, boundary, truncation)
+        yield (state.phi_terms[0], ref), (state.s_terms[0], ref_psi)
+
+
+def grid_gap(ours, ref):
+    """Sup-norm of ``ours - ref`` on the residual grid, relative to that of ``ref``."""
+    size = np.max(np.abs(ref.evaluate_grid(GRID_POINTS)))
+    gap = np.max(np.abs(PolySeries(add(ours, -ref.array)).evaluate_grid(GRID_POINTS)))
+    return float(gap / max(size, 1e-30))

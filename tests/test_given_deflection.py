@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from vkplate import given_deflection
-from vkplate.config import IterateMode, SeriesMode
+from vkplate import given_deflection, ham
+from vkplate.config import DIVERGENCE_ERR, IterateMode, SeriesMode
 from vkplate.given_deflection import (
     GivenDeflectionProblem,
     empirical_c0,
@@ -16,7 +16,7 @@ from vkplate.given_deflection import (
 )
 from vkplate.given_load import GivenLoadProblem
 from vkplate.given_load import solve as solve_load
-from vkplate.kernels import BoundarySpec
+from vkplate.kernels import BoundarySpec, forcing_integral
 from vkplate.physics import deflection_scale
 from vkplate.polyseries import weighted_integral
 
@@ -79,11 +79,38 @@ def test_run_length_follows_the_mode(residual_calls, a, mode, orders, status):
         assert rep.restriction_defect == 0.0
 
 
-def test_side_condition_guard_fires_before_the_residual(monkeypatch, residual_calls):
+@pytest.mark.parametrize("mode", [
+    # run_passes goes on to a second order, which the guard stops
+    SeriesMode(3),
+    # run_passes stops at the first pass, converged; the guard fires after it
+    IterateMode(order=5, truncation=100, tol=1e6, max_iter=5),
+], ids=["series", "iterate"])
+def test_side_condition_guard_fires_on_the_first_scored_pass(monkeypatch, residual_calls,
+                                                             mode):
+    # the guard judges a pass once it is scored, so that a diverged pass is exempt
     monkeypatch.setattr(given_deflection, "_RESTRICTION_GUARD", -1.0)
     with pytest.raises(RuntimeError, match="side condition"):
-        solve(GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(3)))
-    assert residual_calls == []
+        solve(GivenDeflectionProblem.with_c0(5.0, -0.5, mode))
+    assert len(residual_calls) == 1
+
+
+def test_broken_load_term_solve_raises(monkeypatch):
+    # load terms solved against twice the kernel integral miss the side
+    # condition by 6.2 at the first pass, whose err (1.3e3) is not diverged
+    monkeypatch.setattr(ham, "forcing_integral", lambda boundary: 2.0 * forcing_integral(boundary))
+    with pytest.raises(RuntimeError, match="the load-term solve is broken"):
+        solve(GivenDeflectionProblem.with_c0(
+            5.0, -0.5, IterateMode(order=5, truncation=100, max_iter=50)))
+
+
+def test_blown_up_run_is_diverged_not_broken():
+    # err falls to 1.2e3 by pass 65, then climbs; pass 81 has err 2.3e62 and
+    # max|phi| about 2e17, where a side-condition defect of 3.1 is rounding
+    mode = IterateMode(order=5, truncation=240, max_iter=1500)
+    rep = solve(GivenDeflectionProblem.with_c0(40.0, -0.009, mode))
+    assert rep.status == "diverged" and rep.iterations == 81
+    assert rep.restriction_defect > given_deflection._RESTRICTION_GUARD
+    assert all(rec.err <= DIVERGENCE_ERR for rec in rep.history[:-1])
 
 
 def test_series_run_recovers_the_matching_load():

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vkplate import interpolation
 from vkplate.config import GRID, IterateMode
 from vkplate.ham import (
     HomotopyState,
@@ -209,8 +208,6 @@ def test_negative_truncation_is_rejected():
         assert state.q_terms == [] and len(state.phi_terms) == 1
         with pytest.raises(ValueError):
             staggered_pass(state, B, truncation=n)
-        with pytest.raises(ValueError):
-            interpolation.step(state.phi_terms[0], 0.4, 5.0, B, truncation=n)
 
 
 def test_iterate_pass_collapses_partial_sums():

@@ -1,5 +1,5 @@
-"""Relaxed fixed-point baseline and its exact correspondence with the
-staggered first-order homotopy iteration."""
+"""Relaxed fixed-point baseline, which runs on the staggered first-order
+homotopy pass, and that pass checked against the baseline's own sweep."""
 
 import math
 
@@ -8,14 +8,8 @@ import pytest
 
 from vkplate.config import IterateMode, SeriesMode
 from vkplate.ham import HomotopyState, staggered_pass
-from vkplate.interpolation import (
-    equivalence_check,
-    initial_state,
-    solve,
-    step,
-)
+from vkplate.interpolation import initial_state, solve
 from vkplate.kernels import BOUNDARY_KINDS, BoundarySpec, forcing
-from vkplate.polyseries import PolySeries
 
 import oracles
 
@@ -36,31 +30,22 @@ def test_theta_domain():
     initial_state(5.0, 1.0, B)  # closed at one
 
 
-def test_one_step_equals_staggered_first_order_pass():
-    q, theta = 5.0, 0.5
-    phi, psi = step(initial_state(q, theta, B), theta, q, B, truncation=None)
-    ham = HomotopyState([forcing(B, -theta * q)], [np.zeros(1)], -theta, -1.0, q)
-    ham = staggered_pass(ham, B)
-    assert np.allclose(phi, ham.phi_terms[0], rtol=1e-14, atol=1e-17)
-    assert np.allclose(psi, ham.s_terms[0], rtol=1e-14, atol=1e-17)
-
-
 @pytest.mark.parametrize("kind", BOUNDARY_KINDS)
 @pytest.mark.parametrize("truncation", [None, 20])
 def test_step_matches_reference_sweep(truncation, kind):
-    # five sweeps: untruncated the degree grows 2 -> 486; at truncation
-    # 20 both the capped products and the cut act from the third sweep
+    # the paper's theorem: five staggered first-order passes at c1 = -theta,
+    # c2 = -1 are the baseline sweeps, to rounding; untruncated the degree
+    # grows 2 -> 486, and at truncation 20 both the capped products and the
+    # cut act from the third sweep
     boundary = BoundarySpec(kind)
-    q, theta = 10.0, 0.3
-    phi = initial_state(q, theta, boundary)
-    ref = PolySeries(phi)
-    for _ in range(5):
-        phi, psi = step(phi, theta, q, boundary, truncation)
-        ref, ref_psi = oracles.interpolation_step(ref, theta, q, boundary, truncation)
-        assert np.array_equal(phi, ref.array)
-        assert np.array_equal(psi, ref_psi.array)
+    for n, pairs in enumerate(oracles.baseline_sweeps(10.0, 0.3, 5, truncation, boundary)):
+        for ours, ref in pairs:
+            assert ours.shape == ref.array.shape
+            assert oracles.grid_gap(ours, ref) <= 1e-12
+            if n == 0:  # the first sweep agrees coefficient by coefficient
+                assert np.allclose(ours, ref.array, rtol=1e-14, atol=1e-17)
     if truncation is not None:
-        assert len(phi) == len(psi) == truncation + 1
+        assert all(len(ours) == truncation + 1 for ours, _ in pairs)
 
 
 def test_step_caps_degrees_at_the_truncation():
@@ -68,29 +53,26 @@ def test_step_caps_degrees_at_the_truncation():
     # cut at n keeps exactly its first n + 1 coefficients; the coupling
     # (degree 6) is cut too, while phi and the load image (degree 2) are
     # not, and a cut at or above every degree changes nothing
-    phi = initial_state(5.0, 0.4, B)
-    full_phi, full_psi = step(phi, 0.4, 5.0, B, truncation=None)
+    state = HomotopyState([initial_state(5.0, 0.4, B)], [np.zeros(1)], -0.4, -1.0, 5.0)
+    full = staggered_pass(state, B, truncation=None)
+    full_phi, full_psi = full.phi_terms[0], full.s_terms[0]
     assert len(full_psi) == 5 and len(full_phi) == 7
     for n in (2, 3, 6, 9):  # from n = 2 the product cap n + 2 covers phi**2
-        cut_phi, cut_psi = step(phi, 0.4, 5.0, B, truncation=n)
+        cut = staggered_pass(state, B, truncation=n)
+        cut_phi, cut_psi = cut.phi_terms[0], cut.s_terms[0]
         assert len(cut_psi) == min(n + 1, 5)
         assert len(cut_phi) == max(3, min(n + 1, 7))
         assert np.array_equal(cut_psi, full_psi[: n + 1])
-    assert np.array_equal(step(phi, 0.4, 5.0, B, truncation=6)[0], full_phi)
+    assert np.array_equal(staggered_pass(state, B, truncation=6).phi_terms[0], full_phi)
     with pytest.raises(ValueError):
-        step(phi, 0.4, 5.0, B, truncation=-1)
+        staggered_pass(state, B, truncation=-1)
 
 
 def test_equivalence_over_many_sweeps():
-    gap = equivalence_check(5.0, 0.35, iterations=12, truncation=60)
+    gap = max(oracles.grid_gap(ours, ref)
+              for pairs in oracles.baseline_sweeps(5.0, 0.35, 12, truncation=60)
+              for ours, ref in pairs)
     assert gap <= 1e-12
-
-
-@pytest.mark.parametrize("iterations", [0, -3])
-def test_equivalence_check_needs_a_sweep(iterations):
-    # no sweep compares nothing, which would report a vacuous gap of 0.0
-    with pytest.raises(ValueError):
-        equivalence_check(5.0, 0.35, iterations=iterations)
 
 
 def test_solve_converges_at_small_relaxation():

@@ -63,6 +63,8 @@ COMMANDS = (
     "solve-a --a 30 --iterate --format json" + _D,
     # a run that stalls on its N = 60 plateau
     "solve-a --a 20 --iterate --N 60" + _D,
+    # a run that blows up: diverged, with its report
+    "solve-a --a 40 --iterate --c0 -0.009 --N 240 --max-iter 1500" + _D,
     "solve-a --a 5 --c0 -0.5" + _ITER_EXT + _D,
     "solve-a --a 5 --c0 -0.5 --format json" + _ITER_EXT + _D,
     # extended-precision series in both directions
