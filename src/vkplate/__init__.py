@@ -9,7 +9,7 @@ command-line interface.
 """
 
 from .config import IterateMode, SeriesMode
-from .diagnostics import OrderComparison, SweepResult, compare_orders, sweep_c0
+from .diagnostics import SweepResult, compare_orders, sweep_c0
 from .given_deflection import GivenDeflectionProblem
 from .given_deflection import solve as solve_deflection
 from .given_load import GivenLoadProblem
@@ -28,7 +28,6 @@ __all__ = [
     "GivenLoadProblem",
     "HomotopyState",
     "IterateMode",
-    "OrderComparison",
     "PhysicalPlate",
     "PolySeries",
     "RunReport",

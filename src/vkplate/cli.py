@@ -320,12 +320,11 @@ def cmd_compare_orders(sub, args):
         sub.error(f"--M-set must be comma-separated integers, got {args.m_set!r}")
     # each pass order in m_values replaces the mode's default order
     problem = _one_of_q_a(sub, args, _iterate_mode(sub, args))
-    comparison = _checked(sub, compare_orders, problem, m_values)
-    rows = ((m, iteration, err, 0.0 if args.deterministic else wall)
-            for m, iteration, err, wall in comparison.rows())
+    runs = _checked(sub, compare_orders, problem, m_values)
+    rows = ((m, rec.iteration, rec.err, 0.0 if args.deterministic else rec.wall_ms)
+            for m in sorted(runs) for rec in runs[m].history)
     _write_text(args.out, csv_text(("m", "iteration", "err", "wall_ms"), rows))
-    reached = comparison.iterations_to(args.tol)
-    summary = " ".join(f"M={m}:{reached[m]}" for m in sorted(reached))
+    summary = " ".join(f"M={m}:{runs[m].iterations_to(args.tol)}" for m in sorted(runs))
     print(f"iterations to err<={args.tol:g}: {summary}", file=sys.stderr)
     return EXIT_OK
 

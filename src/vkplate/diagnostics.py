@@ -63,25 +63,8 @@ def sweep_c0(problem, c0_grid) -> SweepResult:
     return SweepResult(tuple(points), best)
 
 
-@dataclass(frozen=True)
-class OrderComparison:
-    runs: dict
-
-    def iterations_to(self, threshold: float) -> dict:
-        """Per pass order: first iteration at or below the threshold (None if never)."""
-        return {m: run.iterations_to(threshold) for m, run in self.runs.items()}
-
-    def rows(self):
-        """(order, iteration, err, wall_ms) rows across all runs, for CSV dumps."""
-        out = []
-        for m in sorted(self.runs):
-            for rec in self.runs[m].history:
-                out.append((m, rec.iteration, rec.err, rec.wall_ms))
-        return out
-
-
-def compare_orders(problem, m_values=(1, 2, 3, 4, 5)) -> OrderComparison:
-    """Rerun an iterate-mode problem at several pass orders.
+def compare_orders(problem, m_values=(1, 2, 3, 4, 5)) -> dict:
+    """Rerun an iterate-mode problem at several pass orders: ``{m: RunReport}``.
 
     Higher order per pass should never need more passes to a given
     residual level; the comparison makes that checkable.
@@ -93,5 +76,5 @@ def compare_orders(problem, m_values=(1, 2, 3, 4, 5)) -> OrderComparison:
     for m in m_values:  # every order is checked before any is solved
         if m < 1:
             raise ValueError(f"pass order must be >= 1, got {m}")
-    return OrderComparison({int(m): solve_problem(
-        replace(problem, mode=replace(problem.mode, order=int(m)))) for m in m_values})
+    return {int(m): solve_problem(replace(problem, mode=replace(problem.mode, order=int(m))))
+            for m in m_values}

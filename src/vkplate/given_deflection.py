@@ -41,6 +41,9 @@ class GivenDeflectionProblem:
     def __post_init__(self):
         if not math.isfinite(self.deflection) or self.deflection <= 0.0:
             raise ValueError("deflection must be finite and positive")
+        if isinstance(self.mode, SeriesMode) and self.mode.order == 0:
+            raise ValueError("a deflection series needs order >= 1: "
+                             "order 0 has no load term to score")
         check_settings(self)
 
     @classmethod

@@ -30,8 +30,9 @@ load at order 1 and zero after it, or, with a prescribed center
 deflection, the term that makes the weighted integral of the order's
 correction vanish, which keeps the center deflection pinned.
 
-``solve`` sets up both solvers; ``run_passes`` is the one solve loop:
-it scores every pass with ``residual_error``, records it, stops on
+``solve`` sets up all three solvers, the interpolation baseline with
+``staggered_pass`` as its pass; ``run_passes`` is the one solve loop: it
+scores every pass with ``residual_error``, records it, stops on
 divergence, tolerance or a stall, and builds the run report.
 """
 
@@ -56,7 +57,7 @@ from .kernels import (
     forcing_integral,
     kernel_map,
 )
-from .physics import deflection_curve, w_over_h
+from .physics import w_over_h
 from .polyseries import (
     PolySeries,
     add,
@@ -200,19 +201,23 @@ def iterate_pass(state: HomotopyState, order: int, truncation: int | None,
                          state.c1, state.c2, state.load)
 
 
-def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec):
+def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=None):
     """Yield ``(iteration, order, phi, s, q)`` after each order or pass.
 
     A ``SeriesMode`` yields the running partial sums after orders
-    1..order; an ``IterateMode`` yields the collapsed state after each
-    pass, up to the pass budget.  ``q`` is the load the pair is scored
-    against: the prescribed load, or the summed load expansion so far.
-    ``phi`` and ``s`` are ``PolySeries``; the state holds arrays.
+    1..order; an ``IterateMode`` yields the state after each pass
+    ``step(state, mode.order, mode.truncation, boundary)``, up to the pass
+    budget.  ``step`` None is ``iterate_pass``, looked up at the call so
+    that a wrapped ``ham.iterate_pass`` (a profiler's) is the one run.
+    ``q`` is the load the pair is scored against: the prescribed load, or
+    the summed load expansion so far.  ``phi`` and ``s`` are
+    ``PolySeries``; the state holds arrays.
     """
     series = PolySeries.from_array
     if isinstance(mode, IterateMode):
+        step = step or iterate_pass
         for it in range(1, mode.max_iter + 1):
-            fresh = iterate_pass(state, mode.order, mode.truncation, boundary)
+            fresh = step(state, mode.order, mode.truncation, boundary)
             q, state = state.q, fresh  # free the finished terms before the pass is scored
             yield (it, it * mode.order, series(state.phi_terms[0]),
                    series(state.s_terms[0]), q)
@@ -277,23 +282,21 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
     return dd.to_float(sh, sl)
 
 
-def run_passes(passes, start, boundary: BoundarySpec, config: dict,
+def run_passes(passes, boundary: BoundarySpec, config: dict,
                mode: SeriesMode | IterateMode) -> RunReport:
     """Score, record and classify the passes of one solve under ``mode``.
 
-    ``passes`` yields ``(iteration, order, phi, s, q)``; ``start`` is the
-    ``(phi, s, q)`` reported if it yields nothing.  Each pass gets one
-    residual evaluation and one history record.  A non-finite residual
-    or one above ``DIVERGENCE_ERR`` ends the run as diverged; an order-0
-    record is the starting guess, not a pass, and is never judged
-    diverged.  An ``IterateMode`` run ends as converged at the first
-    residual at or below ``mode.tol``, or as stalled once ``STALL_PASSES``
-    passes in a row set no new residual minimum; one that spends its
-    ``mode.max_iter`` passes still improving ends as max_iter.  A
-    ``SeriesMode`` run takes every pass, and its last residual decides
+    ``passes`` yields at least one ``(iteration, order, phi, s, q)``.
+    Each pass gets one residual evaluation and one history record.  A
+    non-finite residual or one above ``DIVERGENCE_ERR`` ends the run as
+    diverged; an order-0 record is the starting guess, not a pass, and is
+    never judged diverged.  An ``IterateMode`` run ends as converged at
+    the first residual at or below ``mode.tol``, or as stalled once
+    ``STALL_PASSES`` passes in a row set no new residual minimum; one that
+    spends its ``mode.max_iter`` passes still improving ends as max_iter.
+    A ``SeriesMode`` run takes every pass, and its last residual decides
     between converged and max_iter.  Every status reports the last pass.
     """
-    phi, s, q = start
     records = []
     status = "max_iter"
     err = best = math.inf
@@ -317,18 +320,16 @@ def run_passes(passes, start, boundary: BoundarySpec, config: dict,
                 break
     if status == "max_iter" and err <= mode.tol:
         status = "converged"
-    samples = [(y, wv) for y, _, wv, _ in deflection_curve(phi, boundary.nu, 11)]
-    return RunReport(config=config, history=records, phi=phi, s=s, q=q,
-                     w0_over_h=w_over_h(phi.integral_over_y(), boundary.nu),
-                     status=status, deflection_samples=samples)
+    return RunReport(config=config, history=records, phi=phi, s=s, status=status)
 
 
 def solve(problem, phi0: np.ndarray, load: float | None, head: dict,
-          watch=iter) -> RunReport:
+          watch=iter, step=None) -> RunReport:
     """Solve a problem from the float64 slope guess ``phi0`` with no membrane force.
 
     ``load`` is the prescribed load, or None for a prescribed deflection;
-    ``head`` leads the config echo.  ``watch`` sees every pass on its way
+    ``head`` leads the config echo.  ``step`` is the pass of an iterate
+    mode (see ``homotopy_passes``).  ``watch`` sees every pass on its way
     to ``run_passes``.  A load series also records its guess as order 0.
     """
     mode, b = problem.mode, problem.boundary
@@ -336,8 +337,8 @@ def solve(problem, phi0: np.ndarray, load: float | None, head: dict,
     if problem.precision == "extended":
         phi0, s0 = widen(phi0), widen(s0)
     state = HomotopyState([phi0], [s0], problem.c1, problem.c2, load)
-    phi0, s0 = PolySeries.from_array(phi0), PolySeries.from_array(s0)
-    passes = homotopy_passes(state, mode, b)
+    passes = homotopy_passes(state, mode, b, step)
     if load is not None and isinstance(mode, SeriesMode):
-        passes = itertools.chain([(0, 0, phi0, s0, load)], passes)
-    return run_passes(watch(passes), (phi0, s0, state.q), b, config_echo(problem, head), mode)
+        guess = (0, 0, PolySeries.from_array(phi0), PolySeries.from_array(s0), load)
+        passes = itertools.chain([guess], passes)
+    return run_passes(watch(passes), b, config_echo(problem, head), mode)

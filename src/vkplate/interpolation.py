@@ -11,10 +11,12 @@ membrane response of the current slope iterate and then blends
 theta = 1 is the raw Picard map, which stops converging at moderate
 loads; small theta trades speed for reach.  That sweep is the
 first-order homotopy pass with the membrane update adopted first and
-c1 = -theta, c2 = -1, so ``solve`` runs ``vkplate.ham.staggered_pass``
-from ``HomotopyState([phi_1], [0], -theta, -1, Q)``.  The tests check
-that correspondence against the recurrence above, written independently
-on ``PolySeries`` operations.
+c1 = -theta, c2 = -1, so ``solve`` is the problem
+``GivenLoadProblem(Q, -theta, -1, mode, boundary)`` solved by
+``vkplate.ham.solve`` with ``vkplate.ham.staggered_pass`` as its pass,
+from the guess ``phi_1`` and no membrane force.  The tests check that
+correspondence against the recurrence above, written independently on
+``PolySeries`` operations.
 
 Its settings are an order-1 ``IterateMode``: the truncation degree, the
 tolerance and the sweep budget.
@@ -24,10 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import GRID, IterateMode
-from .ham import HomotopyState, run_passes, staggered_pass
+from . import ham
+from .config import IterateMode
+from .given_load import GivenLoadProblem
 from .kernels import BoundarySpec, forcing
-from .polyseries import PolySeries
 from .report import RunReport
 
 
@@ -39,6 +41,12 @@ def initial_state(load: float, theta: float,
     return forcing(boundary, -theta * load)
 
 
+def _sweep(state, order, truncation, boundary):
+    """One baseline sweep, called as a pass of ``ham.homotopy_passes``;
+    ``order`` is 1, as ``solve`` checks."""
+    return ham.staggered_pass(state, boundary, truncation)
+
+
 def solve(load: float, theta: float, mode: IterateMode = IterateMode(order=1),
           boundary: BoundarySpec = BoundarySpec()) -> RunReport:
     """Sweep under an order-1 ``IterateMode`` (one sweep is one first-order
@@ -46,23 +54,7 @@ def solve(load: float, theta: float, mode: IterateMode = IterateMode(order=1),
     if not (isinstance(mode, IterateMode) and mode.order == 1):
         raise ValueError(f"the baseline runs an order-1 IterateMode, got {mode!r}")
     phi = initial_state(load, theta, boundary)
-
-    def passes(state):
-        for it in range(1, mode.max_iter + 1):
-            state = staggered_pass(state, boundary, mode.truncation)
-            yield it, it, PolySeries(state.phi_terms[0]), PolySeries(state.s_terms[0]), load
-
-    cfg = {
-        "solver": "interpolation",
-        "load": load,
-        "theta": theta,
-        "boundary": boundary.kind,
-        "nu": boundary.nu,
-        "truncation": mode.truncation,
-        "tol": mode.tol,
-        "max_iter": mode.max_iter,
-        "grid_size": GRID,
-    }
-    start = HomotopyState([phi], [np.zeros(1)], -theta, -1.0, load)
-    return run_passes(passes(start), (PolySeries(phi), PolySeries(np.zeros(1)), load),
-                      boundary, cfg, mode)
+    problem = GivenLoadProblem(load, -theta, -1.0, mode, boundary)
+    return ham.solve(problem, phi, load,
+                     {"solver": "interpolation", "load": load, "theta": theta},
+                     step=_sweep)

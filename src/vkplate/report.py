@@ -1,8 +1,11 @@
 """Run reports and their serialized forms.
 
-Per-iteration history rows use the fixed CSV schema
-``iteration,order,err,q,w0_over_h,wall_ms``; deflection curves use
-``y,r_over_Ra,W,w_over_h``.  Numbers are written with shortest
+Per-iteration history rows use the fields of ``IterationRecord`` as
+their schema, ``iteration,order,err,q,w0_over_h,wall_ms``; deflection
+curves use ``y,r_over_Ra,W,w_over_h``.  A report stores the history and
+the final pair; its load, center deflection and residual are those of
+the last record, and the JSON form derives its 11-point deflection
+samples from the final slope series.  Numbers are written with shortest
 round-trip repr, so identical runs produce identical bytes; wall-clock
 columns can be zeroed out (``deterministic=True``) when byte-stable
 artifacts matter more than timing.
@@ -11,9 +14,11 @@ artifacts matter more than timing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
-HISTORY_COLUMNS = ("iteration", "order", "err", "q", "w0_over_h", "wall_ms")
+from .physics import deflection_curve
+
 CURVE_COLUMNS = ("y", "r_over_Ra", "W", "w_over_h")
 
 
@@ -27,6 +32,10 @@ class IterationRecord:
     wall_ms: float = 0.0
 
 
+HISTORY_COLUMNS = tuple(f.name for f in fields(IterationRecord))
+_history_row = attrgetter(*HISTORY_COLUMNS)
+
+
 @dataclass
 class RunReport:
     """Everything a solve produced: config echo, history, final solution."""
@@ -35,15 +44,20 @@ class RunReport:
     history: list
     phi: object
     s: object
-    q: float
-    w0_over_h: float
     status: str
-    deflection_samples: list = field(default_factory=list)
     restriction_defect: float | None = None
 
     @property
     def err(self) -> float:
         return self.history[-1].err if self.history else float("nan")
+
+    @property
+    def q(self) -> float:
+        return self.history[-1].q if self.history else float("nan")
+
+    @property
+    def w0_over_h(self) -> float:
+        return self.history[-1].w0_over_h if self.history else float("nan")
 
     @property
     def iterations(self) -> int:
@@ -70,10 +84,18 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _history_rows(report: RunReport, deterministic: bool):
+    """Each record's values in ``HISTORY_COLUMNS`` order, wall-clock times
+    zeroed if deterministic; read shallowly, where ``dataclasses.astuple``
+    would deep-copy every value."""
+    history = report.history
+    if deterministic:
+        history = [replace(rec, wall_ms=0.0) for rec in history]
+    return map(_history_row, history)
+
+
 def history_csv(report: RunReport, deterministic: bool = False) -> str:
-    return csv_text(HISTORY_COLUMNS, (
-        (rec.iteration, rec.order, rec.err, rec.q, rec.w0_over_h,
-         0.0 if deterministic else rec.wall_ms) for rec in report.history))
+    return csv_text(HISTORY_COLUMNS, _history_rows(report, deterministic))
 
 
 def curve_csv(rows) -> str:
@@ -88,20 +110,12 @@ def report_json(report: RunReport, deterministic: bool = False) -> str:
         "q": report.q,
         "w0_over_h": report.w0_over_h,
         "err": report.err,
-        "history": [
-            {
-                "iteration": rec.iteration,
-                "order": rec.order,
-                "err": rec.err,
-                "q": rec.q,
-                "w0_over_h": rec.w0_over_h,
-                "wall_ms": 0.0 if deterministic else rec.wall_ms,
-            }
-            for rec in report.history
-        ],
+        "history": [dict(zip(HISTORY_COLUMNS, row))
+                    for row in _history_rows(report, deterministic)],
         "phi_coeffs": [float(c) for c in report.phi.coeffs],
         "s_coeffs": [float(c) for c in report.s.coeffs],
-        "deflection_samples": [[y, wv] for y, wv in report.deflection_samples],
+        "deflection_samples": [[y, wv] for y, _, wv, _ in
+                               deflection_curve(report.phi, report.config["nu"], 11)],
     }
     if report.phi.lo is not None:
         payload["phi_coeffs_lo"] = [float(c) for c in report.phi.lo]

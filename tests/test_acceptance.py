@@ -264,7 +264,7 @@ def test_pass_order_monotonicity_and_baseline_speed():
     t0 = time.perf_counter()
     comp = compare_orders(
         GivenLoadProblem.with_c0(132.2, -0.15, _iterate()), (1, 2, 3, 4, 5))
-    reached = comp.iterations_to(1e-10)
+    reached = {m: run.iterations_to(1e-10) for m, run in comp.items()}
     mono = None not in reached.values() and all(
         reached[m] >= reached[m + 1] for m in range(1, 5))
     ham = solve_deflection(GivenDeflectionProblem.with_c0(5.0, -0.5, _iterate()))

@@ -46,6 +46,17 @@ def test_zero_control_value_rejected():
     assert run_cli(["solve-q", "--Q", "5", "--c0", "0"]) == 1
 
 
+def test_order_zero_deflection_series_is_a_usage_error(tmp_path, capsys):
+    # order 0 has no load term to score; a load series records its guess
+    out = tmp_path / "run.json"
+    assert run_cli(["solve-a", "--a", "5", "--order", "0", "--format", "json",
+                    "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "order >= 1" in err
+    assert not out.exists()
+    assert run_cli(["solve-q", "--Q", "5", "--order", "0"]) == 0
+
+
 def test_zero_load_trivial_run(capsys):
     assert run_cli(["solve-q", "--Q", "0", "--order", "1"]) == 0
     out = capsys.readouterr().out

@@ -68,10 +68,13 @@ def test_compare_orders_single_m_degenerates():
     p = GivenLoadProblem.with_c0(
         5.0, -0.5, IterateMode(order=5, truncation=40, tol=1e-10, max_iter=30))
     comp = compare_orders(p, (1,))
-    assert set(comp.runs) == {1}
-    rows = comp.rows()
-    assert all(r[0] == 1 for r in rows)
-    assert comp.iterations_to(1e-10)[1] == comp.runs[1].iterations_to(1e-10)
+    assert set(comp) == {1}
+    # the run under key 1 is the order-1 run: one order per pass
+    run = comp[1]
+    assert run.config["order"] == 1
+    assert [rec.order for rec in run.history] == [rec.iteration for rec in run.history]
+    assert run.iterations_to(1e-10) == (run.iterations if run.status == "converged"
+                                        else None)
 
 
 def test_compare_orders_rejects_bad_m():
@@ -85,6 +88,6 @@ def test_higher_pass_order_never_needs_more_passes():
     p = GivenLoadProblem.with_c0(
         20.0, -0.4, IterateMode(order=1, truncation=60, tol=1e-12, max_iter=120))
     comp = compare_orders(p, (1, 2, 4))
-    reached = comp.iterations_to(1e-9)
+    reached = {m: run.iterations_to(1e-9) for m, run in comp.items()}
     assert None not in reached.values()
     assert reached[1] >= reached[2] >= reached[4]

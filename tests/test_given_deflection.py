@@ -58,8 +58,8 @@ def test_series_run_tracks_restriction_defect():
 
 
 @pytest.mark.parametrize("a, mode, orders, status", [
-    # order 0 has no load term yet, so nothing is recorded
-    (5.0, SeriesMode(0), [], "max_iter"),
+    # order 0 has no load term yet, so nothing could be scored: rejected
+    (5.0, SeriesMode(0), [], ValueError),
     # below tol at order 13, yet the series runs to order 20
     (2.0, SeriesMode(20, tol=1e-7), list(range(1, 21)), "converged"),
     # an iterate run stops at the first pass at or below tol
@@ -67,6 +67,10 @@ def test_series_run_tracks_restriction_defect():
      [5, 10, 15, 20], "converged"),
 ])
 def test_run_length_follows_the_mode(residual_calls, a, mode, orders, status):
+    if status is ValueError:
+        with pytest.raises(ValueError, match="order >= 1"):
+            GivenDeflectionProblem.with_c0(a, -0.5, mode)
+        return
     rep = solve(GivenDeflectionProblem.with_c0(a, -0.5, mode))
     assert [rec.order for rec in rep.history] == orders
     assert rep.status == status
@@ -74,9 +78,6 @@ def test_run_length_follows_the_mode(residual_calls, a, mode, orders, status):
     if isinstance(mode, IterateMode):
         assert all(rec.err > mode.tol for rec in rep.history[:-1])
         assert rep.err <= mode.tol
-    if not orders:
-        assert math.isnan(rep.err) and rep.q == 0.0
-        assert rep.restriction_defect == 0.0
 
 
 @pytest.mark.parametrize("mode", [

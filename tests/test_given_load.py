@@ -1,12 +1,13 @@
 """Prescribed-load solver: validation, both modes, status logic,
 report plumbing, and agreement between precisions."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from vkplate.config import IterateMode, SeriesMode
+from vkplate.config import PRECISIONS, IterateMode, SeriesMode
 from vkplate.given_load import (
     GivenLoadProblem,
     empirical_c0,
@@ -14,6 +15,8 @@ from vkplate.given_load import (
     solve,
 )
 from vkplate.kernels import BoundarySpec, forcing
+from vkplate.physics import deflection_curve
+from vkplate.report import report_json
 
 
 def test_problem_validation():
@@ -119,14 +122,19 @@ def test_divergence_detected():
 
 
 def test_deflection_samples_span_the_radius():
-    rep = solve(GivenLoadProblem.with_c0(5.0, -0.35, SeriesMode(20)))
-    ys = [y for y, _ in rep.deflection_samples]
-    assert ys == pytest.approx(list(np.linspace(0.0, 1.0, 11)))
-    assert rep.deflection_samples[-1][1] == 0.0
-    # center sample agrees with the reported center deflection
-    w0 = rep.deflection_samples[0][1]
-    assert math.isclose(abs(w0) / math.sqrt(3 * (1 - 0.3**2)), rep.w0_over_h,
-                        rel_tol=1e-12)
+    # the JSON report derives its samples, the (y, W) columns of an
+    # 11-point deflection curve of the final slope series
+    for precision in PRECISIONS:
+        rep = solve(GivenLoadProblem.with_c0(5.0, -0.35, SeriesMode(20), precision=precision))
+        samples = json.loads(report_json(rep))["deflection_samples"]
+        assert samples == [[y, wv] for y, _, wv, _ in deflection_curve(rep.phi, 0.3, 11)]
+        ys = [y for y, _ in samples]
+        assert ys == pytest.approx(list(np.linspace(0.0, 1.0, 11)))
+        assert samples[-1][1] == 0.0
+        # center sample agrees with the reported center deflection
+        w0 = samples[0][1]
+        assert math.isclose(abs(w0) / math.sqrt(3 * (1 - 0.3**2)), rep.w0_over_h,
+                            rel_tol=1e-12)
 
 
 def test_extended_precision_matches_double_early():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vkplate import ham
 from vkplate.config import GRID, IterateMode
 from vkplate.ham import (
     HomotopyState,
@@ -22,6 +23,7 @@ from vkplate.ham import (
     residual_error,
     staggered_pass,
 )
+from vkplate.given_load import GivenLoadProblem
 from vkplate.kernels import (
     BOUNDARY_KINDS,
     BoundarySpec,
@@ -233,6 +235,22 @@ def test_iterate_pass_reports_load_estimate():
     mode = IterateMode(order=2, truncation=40, max_iter=1)
     [(_, _, _, _, q)] = homotopy_passes(state, mode, B)
     assert q == math.fsum(state.q_terms) != 0.0
+
+
+def test_default_pass_is_looked_up_when_a_solve_runs(monkeypatch):
+    # a wrapper bound to ham.iterate_pass after import (as the benchmark's
+    # tracer binds one) runs every pass of an iterate solve
+    orders = []
+
+    def wrapped(state, order, truncation, boundary):
+        orders.append(order)
+        return iterate_pass(state, order, truncation, boundary)
+
+    monkeypatch.setattr(ham, "iterate_pass", wrapped)
+    mode = IterateMode(order=2, truncation=30, tol=1e-30, max_iter=3)
+    problem = GivenLoadProblem.with_c0(5.0, -0.5, mode)
+    rep = ham.solve(problem, forcing(B, -2.5), 5.0, {})
+    assert orders == [2, 2, 2] and rep.iterations == 3
 
 
 def test_staggered_pass_adopts_membrane_update_first():

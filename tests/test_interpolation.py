@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from vkplate.config import IterateMode, SeriesMode
+from vkplate.config import GRID, IterateMode, SeriesMode, config_echo
+from vkplate.given_load import GivenLoadProblem
 from vkplate.ham import HomotopyState, staggered_pass
 from vkplate.interpolation import initial_state, solve
 from vkplate.kernels import BOUNDARY_KINDS, BoundarySpec, forcing
@@ -114,3 +115,32 @@ def test_baseline_settings_are_a_checked_order_one_mode():
             solve(10.0, 0.3, IterateMode(**{"order": 1, "truncation": 60, **settings}))
     with pytest.raises(ValueError):
         solve(10.0, 0.3, SeriesMode(1))
+
+
+def test_solve_is_the_staggered_pass_on_the_shared_driver():
+    # five sweeps through ham.solve leave the pair that five hand-run
+    # staggered passes from the same start leave, bit for bit
+    rep = solve(10.0, 0.3, IterateMode(order=1, truncation=40, tol=1e-30, max_iter=5))
+    state = HomotopyState([initial_state(10.0, 0.3, B)], [np.zeros(1)], -0.3, -1.0, 10.0)
+    for _ in range(5):
+        state = staggered_pass(state, B, 40)
+    assert np.array_equal(rep.phi.coeffs, state.phi_terms[0])
+    assert np.array_equal(rep.s.coeffs, state.s_terms[0])
+    assert [rec.order for rec in rep.history] == [1, 2, 3, 4, 5]
+
+
+def test_baseline_config_is_the_shared_echo():
+    # the baseline is GivenLoadProblem(Q, -theta, -1) on ham.solve, so its
+    # config is config_echo's: the controls, precision, mode and order,
+    # and every key the baseline echoed before
+    b = BoundarySpec("simple")
+    mode = IterateMode(order=1, truncation=40, tol=1e-6, max_iter=30)
+    cfg = solve(10.0, 0.3, mode, b).config
+    assert (cfg["c1"], cfg["c2"], cfg["mode"], cfg["order"]) == (-0.3, -1.0, "iterate", 1)
+    assert cfg["precision"] == "double"
+    assert {key: cfg[key] for key in ("solver", "load", "theta", "boundary", "nu",
+                                      "truncation", "tol", "max_iter", "grid_size")} == {
+        "solver": "interpolation", "load": 10.0, "theta": 0.3, "boundary": "simple",
+        "nu": b.nu, "truncation": 40, "tol": 1e-6, "max_iter": 30, "grid_size": GRID}
+    assert cfg == config_echo(GivenLoadProblem(10.0, -0.3, -1.0, mode, b),
+                              {"solver": "interpolation", "load": 10.0, "theta": 0.3})

@@ -7,6 +7,13 @@ import json
 
 import pytest
 
+from vkplate.config import IterateMode, SeriesMode
+from vkplate.given_deflection import GivenDeflectionProblem
+from vkplate.given_deflection import solve as solve_deflection
+from vkplate.given_load import GivenLoadProblem
+from vkplate.given_load import solve as solve_load
+from vkplate.interpolation import solve as solve_baseline
+from vkplate.physics import w_over_h
 from vkplate.polyseries import PolySeries
 from vkplate.report import (
     CURVE_COLUMNS,
@@ -23,14 +30,11 @@ from vkplate.report import (
 
 def _report(history=None):
     return RunReport(
-        config={"solver": "given_load", "load": 5.0},
+        config={"solver": "given_load", "load": 5.0, "nu": 0.3},
         history=history or [],
         phi=PolySeries([0.0, 1.0, -0.5]),
         s=PolySeries([0.0, 0.25]),
-        q=5.0,
-        w0_over_h=0.62,
         status="converged",
-        deflection_samples=[(0.0, -1.02), (1.0, 0.0)],
     )
 
 
@@ -73,6 +77,7 @@ def test_json_report_mirrors_fields_and_sorts_keys():
     payload = json.loads(text)
     assert payload["status"] == "converged"
     assert payload["q"] == 5.0
+    assert payload["w0_over_h"] == 0.62  # the last record's
     assert payload["history"][0]["err"] == 1e-3
     assert payload["phi_coeffs"] == [0.0, 1.0, -0.5]
     assert list(payload) == sorted(payload)
@@ -97,3 +102,17 @@ def test_same_report_serializes_identically():
         history_csv(rep, deterministic=True)
     assert report_json(rep, deterministic=True) == \
         report_json(rep, deterministic=True)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: solve_load(GivenLoadProblem.with_c0(5.0, -0.35, SeriesMode(10))),
+    lambda: solve_deflection(GivenDeflectionProblem.with_c0(
+        5.0, -0.5, IterateMode(truncation=60, tol=1e-10))),
+    lambda: solve_baseline(10.0, 0.3, IterateMode(order=1, truncation=60, tol=1e-8)),
+], ids=["load-series", "deflection-iterate", "baseline"])
+def test_load_and_center_deflection_read_the_last_record(run):
+    rep = run()
+    last = rep.history[-1]
+    assert (rep.q, rep.w0_over_h, rep.err) == (last.q, last.w0_over_h, last.err)
+    # the value a report stored before it read the record, bit for bit
+    assert rep.w0_over_h == w_over_h(rep.phi.integral_over_y(), rep.config["nu"])

@@ -40,7 +40,7 @@ def test_stall_rule_on_scripted_residuals(monkeypatch, errs, mode, status, passe
     monkeypatch.setattr(ham, "residual_error", lambda *args: next(scores))
     phi, s = PolySeries(forcing(B, -1.0)), PolySeries(np.zeros(1))
     run = ((i, i, phi, s, 1.0) for i in range(1, len(errs) + 1))
-    rep = ham.run_passes(run, (phi, s, 1.0), B, {}, mode)
+    rep = ham.run_passes(run, B, {}, mode)
     assert (rep.status, len(rep.history), rep.err) == (status, passes, errs[passes - 1])
 
 
@@ -81,7 +81,7 @@ def test_converging_runs_keep_their_pass_counts(make, passes):
 
 def test_pass_order_study_and_baseline_keep_their_pass_counts():
     comp = compare_orders(GivenLoadProblem.with_c0(132.2, -0.15, _ITER))
-    got = {m: (run.status, len(run.history)) for m, run in comp.runs.items()}
+    got = {m: (run.status, len(run.history)) for m, run in comp.items()}
     assert got == {m: ("converged", n) for m, n in ((1, 77), (2, 39), (3, 26), (4, 20),
                                                     (5, 16))}
     base = solve_baseline(132.2, 0.1, IterateMode(order=1))

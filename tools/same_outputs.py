@@ -92,6 +92,8 @@ COMMANDS = (
     "curve --Q 5 --out curve.csv",
     "sweep-c0 --a 5 --out sweep.csv",
     "solve-q --Q 5 --out no/such/dir/run.csv" + _D,
+    # an order-0 deflection series scores nothing: a usage error
+    "solve-a --a 5 --order 0 --format json" + _D,
     # a missing target is a usage error
     "solve-q",
     "solve-a",
