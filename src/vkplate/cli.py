@@ -330,8 +330,6 @@ def cmd_compare_orders(sub, args):
 
 
 def cmd_compare_baseline(sub, args):
-    if args.Q is None:
-        sub.error("--Q is required")
     if not 0.0 < args.theta <= 1.0:
         sub.error("--theta must lie in (0, 1]")
     problem = _build_problem(sub, args, _iterate_mode(sub, args, args.M), "Q")

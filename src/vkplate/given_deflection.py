@@ -5,7 +5,8 @@ is built so its weighted integral equals ``-a`` exactly; every later
 order keeps a vanishing weighted integral because
 :func:`vkplate.ham.deformation_step` solves one term of the load
 expansion per order from that side condition, so the center deflection
-never moves while the load estimate converges.
+never moves while the load estimate converges; ``solve`` guards that on
+every pass ``run_passes`` scores.
 """
 
 from __future__ import annotations
@@ -70,26 +71,20 @@ def initial_slope(deflection: float, boundary: BoundarySpec) -> np.ndarray:
 
 
 def solve(problem: GivenDeflectionProblem) -> RunReport:
-    """Run the configured mode; history carries the evolving load estimate."""
+    """Run the configured mode; history carries the evolving load estimate,
+    ``restriction_defect`` the worst |w0 + a| of a pass (``ham.run_passes``)."""
     a = problem.deflection
     worst_defect = 0.0
 
-    def check(defect):
-        if defect > _RESTRICTION_GUARD:
+    def guard(w0, diverged):
+        nonlocal worst_defect
+        defect = abs(w0 + a)
+        worst_defect = max(worst_defect, defect)
+        if defect > _RESTRICTION_GUARD and not diverged:
             raise RuntimeError(f"side condition drifted to {defect:.3e}; "
                                "the load-term solve is broken")
 
-    def guarded(passes):
-        nonlocal worst_defect
-        for iteration, order, phi, s, q in passes:
-            defect = abs(phi.integral_over_y() + a)
-            worst_defect = max(worst_defect, defect)
-            yield iteration, order, phi, s, q
-            check(defect)  # run_passes scored the pass and did not stop at it
-
-    report = ham.solve(problem, initial_slope(a, problem.boundary), None,
-                       {"solver": "given_deflection", "deflection": a}, guarded)
-    if report.status != "diverged":  # then the pass it stopped at is guarded too
-        check(worst_defect)
+    report = ham.solve(problem, initial_slope(a, problem.boundary),
+                       {"solver": "given_deflection", "deflection": a}, guard)
     report.restriction_defect = worst_defect
     return report

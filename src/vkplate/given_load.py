@@ -60,5 +60,5 @@ def initial_slope(load: float, c0: float, boundary: BoundarySpec) -> np.ndarray:
 def solve(problem: GivenLoadProblem) -> RunReport:
     """Run the configured mode and report per-step history plus the solution."""
     q = problem.load
-    return ham.solve(problem, initial_slope(q, problem.c1, problem.boundary), q,
+    return ham.solve(problem, initial_slope(q, problem.c1, problem.boundary),
                      {"solver": "given_load", "load": q})

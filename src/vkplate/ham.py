@@ -31,14 +31,14 @@ deflection, the term that makes the weighted integral of the order's
 correction vanish, which keeps the center deflection pinned.
 
 ``solve`` sets up all three solvers, the interpolation baseline with
-``staggered_pass`` as its pass; ``run_passes`` is the one solve loop: it
-scores every pass with ``residual_error``, records it, stops on
-divergence, tolerance or a stall, and builds the run report.
+``staggered_pass`` as its pass; ``run_passes`` is the one solve loop and
+the one judge of a pass: it scores and records every pass, shows it to
+the solver's ``watch``, stops on divergence, tolerance or a stall, and
+builds the run report.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -93,10 +93,6 @@ class HomotopyState:
     c2: float
     load: float | None = None
     q_terms: list = field(default_factory=list)
-
-    @property
-    def order(self) -> int:
-        return len(self.phi_terms) - 1
 
     @property
     def q(self) -> float:
@@ -202,10 +198,12 @@ def iterate_pass(state: HomotopyState, order: int, truncation: int | None,
 
 
 def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=None):
-    """Yield ``(iteration, order, phi, s, q)`` after each order or pass.
+    """Yield ``(iteration, order, phi, s, q)`` for every pair a solve scores.
 
     A ``SeriesMode`` yields the running partial sums after orders
-    1..order; an ``IterateMode`` yields the state after each pass
+    1..order, after the guess ``(0, 0, phi0, s0, load)`` of a load state
+    (a deflection guess has no load term to score); an ``IterateMode``
+    yields the state after each pass
     ``step(state, mode.order, mode.truncation, boundary)``, up to the pass
     budget.  ``step`` None is ``iterate_pass``, looked up at the call so
     that a wrapped ``ham.iterate_pass`` (a profiler's) is the one run.
@@ -223,6 +221,8 @@ def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=Non
                    series(state.s_terms[0]), q)
         return
     phi, s = state.phi_terms[0], state.s_terms[0]
+    if state.load is not None:
+        yield 0, 0, series(phi), series(s), state.load
     for k in range(1, mode.order + 1):
         deformation_step(state, k, boundary)
         phi = add(phi, state.phi_terms[k])
@@ -283,15 +283,17 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
 
 
 def run_passes(passes, boundary: BoundarySpec, config: dict,
-               mode: SeriesMode | IterateMode) -> RunReport:
+               mode: SeriesMode | IterateMode, watch=None) -> RunReport:
     """Score, record and classify the passes of one solve under ``mode``.
 
     ``passes`` yields at least one ``(iteration, order, phi, s, q)``.
-    Each pass gets one residual evaluation and one history record.  A
-    non-finite residual or one above ``DIVERGENCE_ERR`` ends the run as
-    diverged; an order-0 record is the starting guess, not a pass, and is
-    never judged diverged.  An ``IterateMode`` run ends as converged at
-    the first residual at or below ``mode.tol``, or as stalled once
+    Each pass gets one residual evaluation, one ``w0 =
+    phi.integral_over_y()`` (W(0) = -w0), one history record and, with
+    ``watch`` set, one call ``watch(w0, diverged)``.  A non-finite residual
+    or one above ``DIVERGENCE_ERR`` ends the run as diverged; an order-0
+    record is the starting guess, not a pass, and is never judged
+    diverged.  An ``IterateMode`` run ends as converged at the first
+    residual at or below ``mode.tol``, or as stalled once
     ``STALL_PASSES`` passes in a row set no new residual minimum; one that
     spends its ``mode.max_iter`` passes still improving ends as max_iter.
     A ``SeriesMode`` run takes every pass, and its last residual decides
@@ -304,11 +306,13 @@ def run_passes(passes, boundary: BoundarySpec, config: dict,
     t0 = time.perf_counter()
     for iteration, order, phi, s, q in passes:
         err = residual_error(phi, s, q, boundary)
-        # W(0) = -integral of phi/y, reported in thickness units
-        records.append(IterationRecord(iteration, order, err, q,
-                                       w_over_h(phi.integral_over_y(), boundary.nu),
+        w0 = phi.integral_over_y()
+        records.append(IterationRecord(iteration, order, err, q, w_over_h(w0, boundary.nu),
                                        (time.perf_counter() - t0) * 1e3))
-        if order > 0 and (not math.isfinite(err) or err > DIVERGENCE_ERR):
+        diverged = order > 0 and (not math.isfinite(err) or err > DIVERGENCE_ERR)
+        if watch is not None:
+            watch(w0, diverged)
+        if diverged:
             status = "diverged"
             break
         if isinstance(mode, IterateMode):
@@ -323,22 +327,18 @@ def run_passes(passes, boundary: BoundarySpec, config: dict,
     return RunReport(config=config, history=records, phi=phi, s=s, status=status)
 
 
-def solve(problem, phi0: np.ndarray, load: float | None, head: dict,
-          watch=iter, step=None) -> RunReport:
+def solve(problem, phi0: np.ndarray, head: dict, watch=None, step=None) -> RunReport:
     """Solve a problem from the float64 slope guess ``phi0`` with no membrane force.
 
-    ``load`` is the prescribed load, or None for a prescribed deflection;
-    ``head`` leads the config echo.  ``step`` is the pass of an iterate
-    mode (see ``homotopy_passes``).  ``watch`` sees every pass on its way
-    to ``run_passes``.  A load series also records its guess as order 0.
+    The load is ``problem.load``, prescribed, or solved for when the
+    problem has none (a prescribed deflection); ``head`` leads the config
+    echo.  ``step`` is the pass of an iterate mode (see
+    ``homotopy_passes``), and ``watch`` is ``run_passes``' per-pass call.
     """
     mode, b = problem.mode, problem.boundary
     s0 = np.zeros(1)
     if problem.precision == "extended":
         phi0, s0 = widen(phi0), widen(s0)
-    state = HomotopyState([phi0], [s0], problem.c1, problem.c2, load)
-    passes = homotopy_passes(state, mode, b, step)
-    if load is not None and isinstance(mode, SeriesMode):
-        guess = (0, 0, PolySeries.from_array(phi0), PolySeries.from_array(s0), load)
-        passes = itertools.chain([guess], passes)
-    return run_passes(watch(passes), b, config_echo(problem, head), mode)
+    state = HomotopyState([phi0], [s0], problem.c1, problem.c2, getattr(problem, "load", None))
+    return run_passes(homotopy_passes(state, mode, b, step), b,
+                      config_echo(problem, head), mode, watch)

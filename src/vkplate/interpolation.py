@@ -55,6 +55,6 @@ def solve(load: float, theta: float, mode: IterateMode = IterateMode(order=1),
         raise ValueError(f"the baseline runs an order-1 IterateMode, got {mode!r}")
     phi = initial_state(load, theta, boundary)
     problem = GivenLoadProblem(load, -theta, -1.0, mode, boundary)
-    return ham.solve(problem, phi, load,
+    return ham.solve(problem, phi,
                      {"solver": "interpolation", "load": load, "theta": theta},
                      step=_sweep)

@@ -154,6 +154,26 @@ def test_load_recovered_from_large_deflections():
     _check("load recovered from large deflections", ok, detail)
 
 
+def test_round_trip_through_the_recovered_load():
+    # table 7's a = 5, 10, 15: the load solve at the recovered q must put
+    # the center back at a, i.e. w0/h = a / sqrt(3 (1 - nu**2)).  Measured
+    # gaps 8.9e-8, 6.9e-8 and 5.0e-8 at tol 1e-12 and N = 100; a q off by
+    # 1e-6 relative moves w0/h by 1.0e-6 or more
+    t0 = time.perf_counter()
+    gaps = {}
+    ok = True
+    for a in (5.0, 10.0, 15.0):
+        back = solve_deflection(GivenDeflectionProblem.with_c0(
+            a, empirical_c0_a(a, iterated=True), _iterate()))
+        fwd = solve_load(GivenLoadProblem.with_c0(
+            back.q, empirical_c0_q(back.q, iterated=True), _iterate()))
+        gaps[a] = abs(fwd.w0_over_h - a / deflection_scale(0.3))
+        ok = ok and back.status == fwd.status == "converged" and gaps[a] <= 2e-7
+    detail = (" ".join(f"a={a:g}:{gap:.1e}" for a, gap in gaps.items())
+              + f" ({time.perf_counter() - t0:.1f}s)")
+    _check("round trip a -> q -> w0/h", ok, detail)
+
+
 def _documented_load_series(load, c0, order, boundary):
     """Order-``order`` partial sums of the prescribed-load series.
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vkplate import ham
-from vkplate.config import GRID, IterateMode
+from vkplate import given_deflection, given_load, ham
+from vkplate.config import GRID, IterateMode, SeriesMode
 from vkplate.ham import (
     HomotopyState,
     OrderingError,
@@ -23,6 +23,7 @@ from vkplate.ham import (
     residual_error,
     staggered_pass,
 )
+from vkplate.given_deflection import GivenDeflectionProblem
 from vkplate.given_load import GivenLoadProblem
 from vkplate.kernels import (
     BOUNDARY_KINDS,
@@ -219,7 +220,7 @@ def test_iterate_pass_collapses_partial_sums():
     assert np.allclose(fresh.phi_terms[0], want_phi.coeffs, rtol=1e-15)
     assert np.allclose(fresh.s_terms[0], want_s.coeffs, rtol=1e-15)
     assert state.q_terms == [5.0, 0.0, 0.0]
-    assert fresh.order == 0 and fresh.q_terms == [] and fresh.q == 5.0
+    assert len(fresh.phi_terms) == 1 and fresh.q_terms == [] and fresh.q == 5.0
 
 
 def test_iterate_pass_reports_load_estimate():
@@ -249,8 +250,41 @@ def test_default_pass_is_looked_up_when_a_solve_runs(monkeypatch):
     monkeypatch.setattr(ham, "iterate_pass", wrapped)
     mode = IterateMode(order=2, truncation=30, tol=1e-30, max_iter=3)
     problem = GivenLoadProblem.with_c0(5.0, -0.5, mode)
-    rep = ham.solve(problem, forcing(B, -2.5), 5.0, {})
+    rep = ham.solve(problem, forcing(B, -2.5), {})
     assert orders == [2, 2, 2] and rep.iterations == 3
+
+
+def test_a_load_series_yields_its_guess_first():
+    # a load series scores its guess as order 0; a deflection guess has no
+    # load term yet, so its stream starts at order 1
+    state = _load_state(5.0, -0.5)
+    guess = state.phi_terms[0]
+    passes = list(homotopy_passes(state, SeriesMode(2), B))
+    assert [p[1] for p in passes] == [0, 1, 2]
+    assert passes[0][0] == 0 and passes[0][4] == 5.0
+    assert np.array_equal(passes[0][2].array, guess)
+    passes = homotopy_passes(_deflection_state(5.0, -0.5), SeriesMode(2), B)
+    assert [p[1] for p in passes] == [1, 2]
+
+
+@pytest.mark.parametrize("solve, problem, records", [
+    (given_deflection.solve, GivenDeflectionProblem.with_c0(5.0, -0.5, IterateMode(max_iter=5)), 5),
+    (given_deflection.solve, GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(4)), 4),
+    (given_load.solve, GivenLoadProblem.with_c0(5.0, -0.5, SeriesMode(4)), 5),
+], ids=["deflection-iterate", "deflection-series", "load-series"])
+def test_each_record_integrates_its_slope_once(monkeypatch, solve, problem, records):
+    # run_passes takes W(0) once per pass and hands it to the deflection
+    # guard, which integrates nothing itself
+    calls = []
+    real = PolySeries.integral_over_y
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(PolySeries, "integral_over_y", counted)
+    rep = solve(problem)
+    assert len(calls) == len(rep.history) == records
 
 
 def test_staggered_pass_adopts_membrane_update_first():
