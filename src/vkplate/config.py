@@ -29,11 +29,15 @@ class SeriesMode:
     """Plain homotopy series summed to a fixed order, no truncation.
 
     ``tol`` only classifies the final status (converged vs not); the
-    series always runs to the requested order.
+    series always runs to the requested order.  ``every_order`` False
+    scores only the last order and the orders that
+    ``ham.residual_bound`` cannot clear of divergence; the run's err,
+    status and first diverged order stay those of a full run.
     """
 
     order: int = 100
     tol: float = 1e-12
+    every_order: bool = True
 
     def __post_init__(self):
         if self.order < 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .config import IterateMode
+from .config import IterateMode, SeriesMode
 from . import given_deflection, given_load
 from .given_deflection import GivenDeflectionProblem
 from .given_load import GivenLoadProblem
@@ -44,7 +44,8 @@ def sweep_c0(problem, c0_grid) -> SweepResult:
 
     Each grid value c0 replaces both controls of ``problem``, which is
     then solved as configured, so a ``SeriesMode`` scores the plain
-    series at its order.  Points are reported in grid order; ``best`` is
+    series at its order; since only err and status are read, it runs
+    with ``every_order`` False.  Points are reported in grid order; ``best`` is
     the finite minimum (None if every point diverged).  The residual
     valley around the minimum is the usable control region.
     """
@@ -54,6 +55,8 @@ def sweep_c0(problem, c0_grid) -> SweepResult:
     for c in grid:
         if not -2.0 < c < 0.0:
             raise ValueError(f"control value {c} outside (-2, 0)")
+    if isinstance(problem.mode, SeriesMode):
+        problem = replace(problem, mode=replace(problem.mode, every_order=False))
     points = []
     for c0 in grid:
         run = solve_problem(replace(problem, c1=c0, c2=c0))

@@ -32,8 +32,9 @@ correction vanish, which keeps the center deflection pinned.
 
 ``solve`` sets up all three solvers, the interpolation baseline with
 ``staggered_pass`` as its pass; ``run_passes`` is the one solve loop and
-the one judge of a pass: it scores and records every pass, shows it to
-the solver's ``watch``, stops on divergence, tolerance or a stall, and
+the one judge of a pass: it scores and records every pass (a series that
+reads only its end skips the orders ``residual_bound`` clears), shows it
+to the solver's ``watch``, stops on divergence, tolerance or a stall, and
 builds the run report.
 """
 
@@ -282,6 +283,53 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
     return dd.to_float(sh, sl)
 
 
+def _norm(p: np.ndarray, inv: np.ndarray) -> float:
+    """L2 norm on [0, 1] of a float64 polynomial, rounded up; ``inv[d]`` is
+    1 / (d + 1) for d up to 2·len(p) − 2 at least.
+
+    ‖p‖² = Σ_d (p⊛p)_d / (d + 1).  The margin n²·2⁻⁵⁰·Σ p_m², at least
+    n·2⁻⁵⁰ times the same sum over |p|, covers the rounding of that sum
+    and a relative 2⁻⁵³ change of each coefficient (the low part of a
+    double-double one).
+    """
+    if not p.size:
+        return 0.0
+    sq = np.dot(np.convolve(p, p), inv[: 2 * p.size - 1])
+    return math.sqrt(abs(sq) + p.size * p.size * 2.0**-50 * np.dot(p, p))
+
+
+def residual_bound(phi: PolySeries, s: PolySeries, load: float,
+                   boundary: BoundarySpec) -> float:
+    """Upper bound of ``residual_error(phi, s, load, boundary)``, with no
+    product series and no grid.
+
+    With Φ, S the pair's float64 coefficients (the high parts of a
+    double-double pair), F the load image ``forcing(boundary, load)`` and
+    ‖·‖ the L2 norm on [0, 1] (``_norm``),
+
+        err <= (‖(Φ + F)′‖ + (|λ − 1| + 2)·‖Φ/y‖·‖S/y‖)²
+               + (‖S′‖ + ½(|μ − 1| + 2)·‖Φ/y‖²)²,
+
+    to rounding, because a mean over grid points is at most the sum of
+    the squared maxima of N1 and N2 on [0, 1], and:
+
+    * every term vanishes at y = 0, so |p(y)| = |∫₀^y p′| <= ‖p′‖;
+    * the kernel of edge weight w (``kernels._weights``) maps f to
+      K_w[f](y) = y·((w − 1)∫u·f + ∫f) − ∫₀^y (y − u)·f, so
+      |K_w[f]| <= (|w − 1| + 2)·∫|f| on [0, 1];
+    * by Cauchy–Schwarz, ∫|Φ·S/y²| <= ‖Φ/y‖·‖S/y‖.
+    """
+    f, g = phi.coeffs, s.coeffs
+    slope = add(f, forcing(boundary, load))
+    inv = 1.0 / np.arange(1.0, 2 * max(slope.size, g.size))
+    f_y, g_y = _norm(f[1:], inv), _norm(g[1:], inv)
+    d_slope = _norm(slope[1:] * np.arange(1, slope.size), inv)
+    d_s = _norm(g[1:] * np.arange(1, g.size), inv)
+    n1 = d_slope + (abs(boundary.lam - 1.0) + 2.0) * f_y * g_y
+    n2 = d_s + 0.5 * (abs(boundary.mu - 1.0) + 2.0) * f_y * f_y
+    return n1 * n1 + n2 * n2
+
+
 def run_passes(passes, boundary: BoundarySpec, config: dict,
                mode: SeriesMode | IterateMode, watch=None) -> RunReport:
     """Score, record and classify the passes of one solve under ``mode``.
@@ -298,15 +346,28 @@ def run_passes(passes, boundary: BoundarySpec, config: dict,
     spends its ``mode.max_iter`` passes still improving ends as max_iter.
     A ``SeriesMode`` run takes every pass, and its last residual decides
     between converged and max_iter.  Every status reports the last pass.
+
+    A ``SeriesMode`` with ``every_order`` False scores and records only
+    its last order and each order above 0 whose ``residual_bound`` is not
+    at or below ``DIVERGENCE_ERR / 2`` (the factor 2 absorbs rounding).
+    An order it skips has a finite residual under the threshold, so it is
+    not diverged; it still gets its ``watch(w0, False)``, and err, status
+    and the first diverged order are those of a full run.
     """
+    sparse = isinstance(mode, SeriesMode) and not mode.every_order
     records = []
     status = "max_iter"
     err = best = math.inf
     since_best = 0
     t0 = time.perf_counter()
     for iteration, order, phi, s, q in passes:
-        err = residual_error(phi, s, q, boundary)
         w0 = phi.integral_over_y()
+        if sparse and order < mode.order and (
+                order == 0 or residual_bound(phi, s, q, boundary) <= DIVERGENCE_ERR / 2):
+            if watch is not None:
+                watch(w0, False)
+            continue
+        err = residual_error(phi, s, q, boundary)
         records.append(IterationRecord(iteration, order, err, q, w_over_h(w0, boundary.nu),
                                        (time.perf_counter() - t0) * 1e3))
         diverged = order > 0 and (not math.isfinite(err) or err > DIVERGENCE_ERR)

@@ -1,13 +1,15 @@
 """Control-value sweeps and pass-order comparisons."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from vkplate.config import IterateMode, SeriesMode
-from vkplate.diagnostics import compare_orders, sweep_c0
+from vkplate.diagnostics import compare_orders, solve_problem, sweep_c0
 from vkplate.given_deflection import GivenDeflectionProblem
 from vkplate.given_load import GivenLoadProblem
+from vkplate.kernels import BoundarySpec
 
 
 def _load_problem(order=10, **kw):
@@ -50,6 +52,28 @@ def test_divergent_point_recorded_not_raised():
     assert statuses[-1.99] == "diverged"
     # the best point skips non-finite residuals
     assert res.best is None or math.isfinite(res.best.err)
+
+
+@pytest.mark.parametrize("problem, diverged", [
+    (GivenLoadProblem.with_c0(5.0, -0.5, SeriesMode(20), boundary=BoundarySpec("hinged")), 17),
+    (GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(20),
+                                    boundary=BoundarySpec("simple")), 8),
+], ids=["load", "deflection"])
+def test_sweep_matches_full_runs(problem, diverged):
+    # the sweep scores only what the residual bound cannot clear, yet every
+    # point's err (bit for bit) and status are those of a run scoring every order
+    grid = [round(-1.9 + 0.1 * i, 10) for i in range(19)]
+    points = sweep_c0(problem, grid).points
+    full = [solve_problem(replace(problem, c1=c0, c2=c0)) for c0 in grid]
+    assert [(p.err, p.status) for p in points] == [(r.err, r.status) for r in full]
+    assert sum(p.status == "diverged" for p in points) == diverged
+
+
+def test_benchmark_sweep_scores_at_most_two_orders_per_point(residual_calls):
+    # the order-20 a = 5 sweep of the benchmark; scoring every order takes 1,870 calls
+    grid = [round(-1.0 + 0.01 * i, 10) for i in range(96)]
+    sweep_c0(GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(20)), grid)
+    assert len(residual_calls) <= 2 * len(grid)
 
 
 def test_sweep_uses_the_requested_order():

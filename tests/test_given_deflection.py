@@ -104,6 +104,22 @@ def test_broken_load_term_solve_raises(monkeypatch):
             5.0, -0.5, IterateMode(order=5, truncation=100, max_iter=50)))
 
 
+def test_broken_load_term_solve_raises_on_an_unscored_order(monkeypatch, residual_calls):
+    # a series that scores only its last order still shows order 1 to the guard
+    monkeypatch.setattr(ham, "forcing_integral", lambda boundary: 2.0 * forcing_integral(boundary))
+    with pytest.raises(RuntimeError, match="the load-term solve is broken"):
+        solve(GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(20, every_order=False)))
+    assert not residual_calls
+
+
+def test_sparse_series_run_matches_the_full_run():
+    full = solve(GivenDeflectionProblem.with_c0(5.0, -0.25, SeriesMode(30)))
+    sparse = solve(GivenDeflectionProblem.with_c0(5.0, -0.25, SeriesMode(30, every_order=False)))
+    assert [rec.order for rec in sparse.history] == [30]
+    for name in ("restriction_defect", "iterations", "q", "w0_over_h", "err", "status"):
+        assert getattr(sparse, name) == getattr(full, name)
+
+
 def test_blown_up_run_is_diverged_not_broken():
     # err falls to 1.2e3 by pass 65, then climbs; pass 81 has err 2.3e62 and
     # max|phi| about 2e17, where a side-condition defect of 3.1 is rounding

@@ -97,6 +97,11 @@ def test_iterate_mode_converges_and_echoes_config():
     # an iterate run stops at the first pass at or below tol
     (132.1965, -0.15, IterateMode(order=5, truncation=100, tol=1e-6, max_iter=50),
      list(range(5, 46, 5)), "converged"),
+    # scoring only what the residual bound cannot clear: the last order, or
+    # the first diverged one, as in the runs above
+    (5.0, -0.35, SeriesMode(20, tol=5e-5, every_order=False), [20], "max_iter"),
+    (1000.0, -1.5, SeriesMode(5, every_order=False), [1], "diverged"),
+    (5.0, -0.35, SeriesMode(0, every_order=False), [0], "max_iter"),
 ])
 def test_run_length_follows_the_mode(residual_calls, load, c0, mode, orders, status):
     rep = solve(GivenLoadProblem.with_c0(load, c0, mode))
@@ -106,6 +111,15 @@ def test_run_length_follows_the_mode(residual_calls, load, c0, mode, orders, sta
     if isinstance(mode, IterateMode):
         assert all(rec.err > mode.tol for rec in rep.history[:-1])
         assert rep.err <= mode.tol
+
+
+def test_a_series_scores_every_order_by_default():
+    # a series told otherwise ends where the full run ends
+    assert SeriesMode().every_order
+    full = solve(GivenLoadProblem.with_c0(5.0, -0.35, SeriesMode(20)))
+    sparse = solve(GivenLoadProblem.with_c0(5.0, -0.35, SeriesMode(20, every_order=False)))
+    assert (sparse.err, sparse.q, sparse.w0_over_h, sparse.status) == (
+        full.err, full.q, full.w0_over_h, full.status)
 
 
 def test_iterate_budget_exhaustion_reports_max_iter():

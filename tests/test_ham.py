@@ -1,5 +1,6 @@
 """Deformation-order machinery: hand-worked low orders, ordering guards,
-truncation behavior, pass collapsing, the mean-square residual, and the
+truncation behavior, pass collapsing, the mean-square residual and its
+bound, and the
 array core checked bit for bit against the ``PolySeries`` reference
 recurrence of ``oracles``."""
 
@@ -11,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from vkplate import given_deflection, given_load, ham
-from vkplate.config import GRID, IterateMode, SeriesMode
+from vkplate.config import DIVERGENCE_ERR, GRID, IterateMode, SeriesMode
 from vkplate.ham import (
     HomotopyState,
     OrderingError,
@@ -23,6 +24,7 @@ from vkplate.ham import (
     residual_error,
     staggered_pass,
 )
+from vkplate.diagnostics import solve_problem
 from vkplate.given_deflection import GivenDeflectionProblem
 from vkplate.given_load import GivenLoadProblem
 from vkplate.kernels import (
@@ -367,6 +369,33 @@ def test_residual_extended_matches_double():
     ext = residual_error(*(PolySeries.from_array(widen(p.array)) for p in (phi, s)),
                          5.0, B)
     assert math.isclose(plain, ext, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("kind", BOUNDARY_KINDS)
+def test_residual_bound_holds_at_every_scored_order(monkeypatch, kind, precision):
+    # every pair a full series run scores, converging and diverging, load
+    # and deflection; the largest err / bound seen here is 0.40
+    pairs = []
+    real = ham.residual_error
+
+    def scored(phi, s, q, boundary):
+        err = real(phi, s, q, boundary)
+        pairs.append((err, ham.residual_bound(phi, s, q, boundary)))
+        return err
+
+    monkeypatch.setattr(ham, "residual_error", scored)
+    b = BoundarySpec(kind)
+    for problem, target, c0 in ((GivenLoadProblem, 5.0, -0.35),
+                                (GivenLoadProblem, 5.0, -0.05),
+                                (GivenLoadProblem, 1000.0, -1.99),
+                                (GivenDeflectionProblem, 5.0, -0.25),
+                                (GivenDeflectionProblem, 5.0, -0.9)):
+        solve_problem(problem.with_c0(target, c0, SeriesMode(20), boundary=b,
+                                      precision=precision))
+    assert len(pairs) >= 75
+    assert max(err for err, _ in pairs) > DIVERGENCE_ERR
+    assert all(err <= bound for err, bound in pairs)
 
 
 def test_coupling_sum_without_y_squared_factor_raises():

@@ -50,6 +50,14 @@ COMMANDS = (
     "sweep-c0 --Q 5 --c0-min -0.99875 --c0-max -0.04875 --c0-step 0.01",
     # a non-default series order must reach every grid point
     "sweep-c0 --a 3 --sweep-order 7 --c0-min -0.9 --c0-max -0.1 --c0-step 0.2",
+    # sweeps with diverged points, load and deflection, and an extended sweep:
+    # the residual bound decides which orders are scored
+    "sweep-c0 --Q 5 --sweep-order 20 --boundary hinged --c0-min -1.9 --c0-max -0.1"
+    " --c0-step 0.1",
+    "sweep-c0 --a 5 --sweep-order 20 --boundary simple --c0-min -1.9 --c0-max -0.1"
+    " --c0-step 0.1",
+    "sweep-c0 --a 5 --sweep-order 10 --precision extended --c0-min -0.9 --c0-max -0.1"
+    " --c0-step 0.2",
     # series, iterate and extended solves, as CSV and as JSON
     "solve-q --Q 5" + _D,
     "solve-q --Q 5 --format json" + _D,
