@@ -33,6 +33,9 @@ EXIT_STALLED = 3
 _STATUS_EXIT = {"converged": EXIT_OK, "max_iter": EXIT_OK, "diverged": EXIT_DIVERGED,
                 "stalled": EXIT_STALLED}
 
+#: The most points a control grid or a deflection curve may have.
+MAX_POINTS = 100_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage failures exit with status 1."""
@@ -295,8 +298,8 @@ def cmd_sweep(sub, args):
     if not step > 0:
         sub.error("--c0-step must be positive")
     span = (hi - lo + 1e-12) / step
-    if span >= 100_000:
-        sub.error("control grid has more than 100000 points")
+    if span >= MAX_POINTS:
+        sub.error(f"control grid has more than {MAX_POINTS} points")
     grid = [round(lo + i * step, 10) for i in range(math.floor(span) + 1)]
     if not grid:
         sub.error("empty control grid")
@@ -353,8 +356,8 @@ def cmd_compare_baseline(sub, args):
 
 
 def cmd_curve(sub, args):
-    if args.samples < 2:
-        sub.error("--samples must be >= 2")
+    if not 2 <= args.samples <= MAX_POINTS:
+        sub.error(f"--samples must lie in [2, {MAX_POINTS}]")
     problem = _one_of_q_a(sub, args, _mode(sub, args))
     report = solve_problem(problem)
     rows = deflection_curve(report.phi, problem.boundary.nu, samples=args.samples)

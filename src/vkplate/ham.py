@@ -263,9 +263,8 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
     the load image all have a zero constant term.
     """
     ext = phi.extended or s.extended
-    n1 = phi + apply_slope_kernel(multiply(phi, s).divided_by_y_squared(), boundary)
-    if load != 0.0:
-        n1 = n1 + PolySeries.from_array(forcing(boundary, load, ext))
+    n1 = (phi + apply_slope_kernel(multiply(phi, s).divided_by_y_squared(), boundary)
+          + PolySeries.from_array(forcing(boundary, load, ext)))
     n2 = s + apply_membrane_kernel(
         multiply(phi, phi).divided_by_y_squared(), boundary
     ).scaled(-0.5)

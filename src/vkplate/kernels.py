@@ -96,7 +96,10 @@ def _weights(w: float, size: int, extended: bool):
 
 
 def kernel_map(f: np.ndarray, w: float) -> np.ndarray:
-    """Integrate a coefficient array against the kernel of edge weight w; zero maps to [0]."""
+    """Integrate a coefficient array against the kernel of edge weight w.
+
+    A zero array, empty included, maps to [0]: an image is two coefficients
+    longer than its input, so a zero image would otherwise grow every order."""
     if not np.count_nonzero(f):
         return np.zeros(f.shape[:-1] + (1,))
     n = f.shape[-1]

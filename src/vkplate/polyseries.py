@@ -7,7 +7,9 @@ function, kernel images, residuals) is a polynomial in ``y`` on
 
 Instances are immutable and hold the coefficients they are given,
 trailing zeros included; any series without a nonzero coefficient is
-the zero polynomial, whatever its length.
+the zero polynomial, whatever its length.  The array functions below
+treat it like any other series; ``over_y_squared`` can leave an empty
+array, which ``PolySeries`` reads as ``[0]``.
 
 Coefficients are float64 by default.  Passing a companion ``lo`` array
 turns each coefficient into a double-double value (see
@@ -253,9 +255,7 @@ def scale(a: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def over_y_squared(a: np.ndarray) -> np.ndarray:
-    """Remove an exact ``y**2`` factor (ValueError if there is none); zero stays as it is."""
-    if not np.count_nonzero(a):
-        return a
+    """Remove an exact ``y**2`` factor (ValueError if there is none)."""
     if np.count_nonzero(a[..., :2]):
         raise ValueError("series has no y**2 factor (valuation < 2)")
     return a[..., 2:]
@@ -263,8 +263,6 @@ def over_y_squared(a: np.ndarray) -> np.ndarray:
 
 def weighted_integral(a: np.ndarray) -> float:
     """The integral of f(y)/y over [0, 1]: the sum of a[m] / m (a[0] must vanish)."""
-    if not np.count_nonzero(a):
-        return 0.0
     if np.count_nonzero(a[..., 0]):
         raise ValueError("integrand f(y)/y singular at 0 (nonzero constant term)")
     m = np.arange(1, a.shape[-1])
@@ -275,7 +273,7 @@ def weighted_integral(a: np.ndarray) -> float:
 
 
 def convolve(f: np.ndarray, g: np.ndarray, max_degree: int | None = None) -> np.ndarray:
-    """Product of two series (coefficient convolution); a zero operand gives [0].
+    """Product of two series (coefficient convolution).
 
     ``max_degree`` computes only the monomials up to that degree, which
     is how the truncated iteration caps intermediate growth.
@@ -291,10 +289,7 @@ def convolve(f: np.ndarray, g: np.ndarray, max_degree: int | None = None) -> np.
     on the shapes of ``test_extended_multiply_against_mpmath`` is 7.1e-32
     of that sum, and 1.1e-31 with 97-element blocks.
     """
-    ext = f.ndim == 2 or g.ndim == 2
-    if not np.count_nonzero(f) or not np.count_nonzero(g):
-        return np.zeros((2, 1) if ext else 1)
-    if not ext:
+    if f.ndim == g.ndim == 1:
         out = np.convolve(f, g)
         return out if max_degree is None else out[: max_degree + 1]
     f, g = widen(f), widen(g)
@@ -340,8 +335,6 @@ def deflection_series(phi: PolySeries) -> PolySeries:
     cancels to zero exactly, not merely to rounding.
     """
     a = phi.array
-    if not np.count_nonzero(a):
-        return PolySeries.from_array(np.zeros(a.shape[:-1] + (1,)))
     if np.count_nonzero(a[..., 0]):
         raise ValueError("slope series must vanish at y = 0")
     m = np.arange(1, len(phi.coeffs))

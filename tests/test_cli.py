@@ -166,21 +166,24 @@ def _memory_cap():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("grid", [
-    ["--c0-step", "1e-300"],  # below the float spacing at --c0-min
-    ["--c0-max", "inf"],
-    ["--c0-step", "1e-6"],  # about 950,000 points
+@pytest.mark.parametrize("argv", [
+    ["sweep-c0", "--Q", "5", "--c0-step", "1e-300"],  # below the float spacing at --c0-min
+    ["sweep-c0", "--Q", "5", "--c0-max", "inf"],
+    ["sweep-c0", "--Q", "5", "--c0-step", "1e-6"],  # about 950,000 points
+    ["curve", "--Q", "1", "--order", "2", "--samples", "100001"],
+    ["curve", "--Q", "1", "--order", "2", "--samples", "1000000000"],
 ], ids=" ".join)
-def test_sweep_grid_is_checked_before_it_is_built(grid):
-    # each grid is unbounded or too large to sweep, so the command runs in
-    # its own time- and memory-capped process: an unchecked grid grows
-    # until it is killed
+def test_sweep_grid_is_checked_before_it_is_built(argv):
+    # each grid or curve is unbounded or too large to build, so the command
+    # runs in its own time- and memory-capped process: an unchecked grid
+    # grows until it is killed, and an unchecked curve fails to allocate
+    # after its solve
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [
                    str(Path(__file__).resolve().parents[1] / "src"),
                    os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "vkplate.cli", "sweep-c0", "--Q", "5",
-                           *grid], capture_output=True, text=True, timeout=30, env=env,
+    proc = subprocess.run([sys.executable, "-m", "vkplate.cli", *argv],
+                          capture_output=True, text=True, timeout=30, env=env,
                           preexec_fn=_memory_cap)
     assert proc.returncode == 1
     assert proc.stdout == ""

@@ -58,6 +58,17 @@ def test_zero_load_gives_zero_solution():
     assert rep.err == 0.0 and rep.w0_over_h == 0.0
 
 
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("mode", [SeriesMode(10), IterateMode(max_iter=3)],
+                         ids=["series", "iterate"])
+def test_zero_load_series_keep_their_length(mode, precision):
+    # the kernel image of a zero series is [0], so the guess's three zero
+    # coefficients and the membrane force's one do not grow with the order
+    rep = solve(GivenLoadProblem.with_c0(0.0, -0.5, mode, precision=precision))
+    assert rep.phi.degree == 2 and rep.s.degree == 0
+    assert rep.phi.extended == rep.s.extended == (precision == "extended")
+
+
 def test_series_history_is_ordered_and_decaying():
     rep = solve(GivenLoadProblem.with_c0(5.0, -0.35, SeriesMode(20)))
     iters = [rec.iteration for rec in rep.history]

@@ -18,8 +18,9 @@ from vkplate.kernels import (
     apply_slope_kernel,
     forcing,
     forcing_integral,
+    kernel_map,
 )
-from vkplate.polyseries import PolySeries, widen
+from vkplate.polyseries import PolySeries, over_y_squared, widen
 
 from oracles import kernel_value
 
@@ -140,6 +141,21 @@ def test_zero_input_zero_image():
         for image in (apply_slope_kernel(z, b), apply_membrane_kernel(z, b)):
             assert not np.count_nonzero(image.array) and image.degree == 0  # zero never grows
             assert image.extended == z.extended
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["double", "extended"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_empty_quotient_reads_as_zero(n, extended):
+    # removing y**2 from a zero series of length 1 or 2 is the only way to
+    # an empty coefficient array; the kernel map and PolySeries read it as [0]
+    z = widen(np.zeros(n)) if extended else np.zeros(n)
+    empty = over_y_squared(z)
+    zero = np.zeros(z.shape[:-1] + (1,))
+    assert empty.shape == z.shape[:-1] + (0,)
+    for w in (0.0, 2.0 / 0.7):
+        assert np.array_equal(kernel_map(empty, w), zero)
+    p = PolySeries.from_array(empty)
+    assert np.array_equal(p.array, zero) and p.extended == extended
 
 
 def test_extended_path_matches_double_path():

@@ -87,6 +87,9 @@ COMMANDS = (
     "solve-q --Q -0.0" + _D,
     "solve-q --Q -0.0 --iterate --max-iter 3" + _D,
     "solve-q --Q -0.0 --iterate --max-iter 3 --format json" + _D,
+    # a zero-load series as JSON: series lengths and the signs of zeros
+    "solve-q --Q -0.0 --order 10 --format json" + _D,
+    "solve-q --Q -0.0 --order 10 --format json" + _EXT + _D,
     # deflection profiles
     "curve --Q 5",
     "curve --a 5",
