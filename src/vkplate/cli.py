@@ -223,6 +223,8 @@ def _resolve_controls(sub, args, value, empirical, mode):
                 sub.error(f"--c0 must be a number or 'auto', got {args.c0!r}")
     if c0 is None:
         c0 = empirical(value, iterated=isinstance(mode, IterateMode))
+        if c0 == 0.0 and math.isfinite(value) and None in (args.c1, args.c2):
+            sub.error(f"the fitted control value underflows to 0 at {value:g}; give --c0")
     c1 = c0 if args.c1 is None else args.c1
     c2 = c0 if args.c2 is None else args.c2
     return c1, c2

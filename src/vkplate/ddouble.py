@@ -108,35 +108,22 @@ def div_d(xh, xl, y):
     return add_d(s, f, q3)
 
 
-def reduce_rows(xh, xl, y=None):
-    """Compensated sum of x[i] * y**i down axis 0; returns one row as an (hi, lo) pair.
+def reduce_rows(xh, xl):
+    """Compensated sum of double-double rows down axis 0; returns one row as an (hi, lo) pair.
 
-    Without y (a float or float array) this is the plain sum of the
-    rows.  Each step adds rows h.. (scaled by y**h) to rows 0.. in one
-    vector ``add``, with h the largest power of two below the row count;
-    rows left unpaired are carried, so n rows take ceil(log2 n) steps
-    (pairwise summation, and Estrin's scheme when y is given).  Scaling
-    by y = 1 is exact, so a sum with y = 1 equals the plain sum bit for
-    bit.  Each row broadcasts against y; an empty input sums to zero.
+    Each step adds rows h.. to rows 0.. in one vector ``add``, with h the
+    largest power of two below the row count; rows left unpaired are
+    carried, so n rows take ceil(log2 n) steps (pairwise summation).  An
+    empty input sums to zero.
     """
     xh = np.asarray(xh, dtype=float)
     xl = np.asarray(xl, dtype=float)
-    if y is not None:
-        shape = np.broadcast_shapes(xh.shape, (1,) + np.shape(y))
-        xh, xl = np.broadcast_to(xh, shape), np.broadcast_to(xl, shape)
-        # squares[j] is y**(2**j), the scale of step h = 2**j
-        squares = [(y, 0.0)]
-        while 1 << len(squares) < len(xh):
-            squares.append(mul(*squares[-1], *squares[-1]))
     if len(xh) == 0:
         return np.zeros(xh.shape[1:]), np.zeros(xl.shape[1:])
     while len(xh) > 1:
         n = len(xh)
         h = 1 << (n - 1).bit_length() - 1
-        th, tl = xh[h:], xl[h:]
-        if y is not None:
-            th, tl = mul(th, tl, *squares[h.bit_length() - 1])
-        sh, sl = add(xh[: n - h], xl[: n - h], th, tl)
+        sh, sl = add(xh[: n - h], xl[: n - h], xh[h:], xl[h:])
         if n - h < h:
             sh = np.concatenate([sh, xh[n - h : h]])
             sl = np.concatenate([sl, xl[n - h : h]])
@@ -144,7 +131,7 @@ def reduce_rows(xh, xl, y=None):
     return xh[0], xl[0]
 
 
-def dot_rows(x, y, x_parts=None, y_parts=None):
+def dot_rows(x, y, x_parts=None, y_parts=None, lo=None):
     """Compensated sum of the products x[i] * y[i] down axis 0; returns one row as (s, e).
 
     This is the Dot2 of Ogita, Rump & Oishi (2005): ``two_prod`` makes
@@ -153,16 +140,30 @@ def dot_rows(x, y, x_parts=None, y_parts=None):
     product's and every addition's rounding error is summed in float64.
     x and y broadcast against each other; ``x_parts`` and ``y_parts`` are
     their ``split`` halves (a pair, or an array stacking the two), for a
-    caller that splits an operand once and uses it in many calls.  The pair is not renormalized, so a caller can
-    add further float terms to e before ``quick_two_sum(s, e)``.  The
-    errors add up to at most (L + 1) u of the sum of |x[i] y[i]| and each
-    passes through at most 2 L float additions, so for n rows s + e is the
-    exact sum to within 2 L (L + 1) u**2 of that sum, to first order, with
-    L = ceil(log2(n)) and u = 2**-53.
+    caller that splits an operand once and uses it in many calls.  ``lo``
+    holds the low parts (x_lo, y_lo) of double-double operands; the cross
+    terms x y_lo + x_lo y join the product errors (x_lo y_lo is left out).
+    The pair is not renormalized, so a caller can add further float terms
+    to e before ``quick_two_sum(s, e)``.  The errors add up to at most
+    (L + 1) u of the sum of |x[i] y[i]| and each passes through at most
+    2 L float additions, so for n rows s + e is the exact sum to within
+    2 L (L + 1) u**2 of that sum, to first order, with L = ceil(log2(n))
+    and u = 2**-53 (without ``lo``).
     """
     p = x * y
-    e = _product_error(p, *(split(x) if x_parts is None else x_parts),
-                       *(split(y) if y_parts is None else y_parts))
+    ah, al = split(x) if x_parts is None else x_parts
+    bh, bl = split(y) if y_parts is None else y_parts
+    # _product_error's operations in its order, in place
+    e = ah * bh
+    e -= p
+    t = ah * bl
+    e += t
+    e += np.multiply(al, bh, out=t)
+    e += np.multiply(al, bl, out=t)
+    if lo is not None:
+        e += np.multiply(x, lo[1], out=t)
+        e += np.multiply(lo[0], y, out=t)
+    del t  # its rows need not outlive the first step below
     while len(p) > 1:
         n = len(p)
         h = 1 << (n - 1).bit_length() - 1
@@ -170,7 +171,7 @@ def dot_rows(x, y, x_parts=None, y_parts=None):
         p[: n - h], t = two_sum(p[: n - h], p[h:])
         e[: n - h] += e[h:] + t
         p, e = p[:h], e[:h]
-    return p[0], e[0]
+    return p[0].copy(), e[0].copy()  # a view would hold all the rows
 
 
 def to_float(xh, xl):

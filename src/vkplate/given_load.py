@@ -42,14 +42,15 @@ class GivenLoadProblem:
 
 
 def empirical_c0(load: float, iterated: bool = False) -> float:
-    """Fitted control value for a load number.
+    """Fitted control value for a load number; even in Q, as -Q only flips phi.
 
     ``-13 / (13 + Q**2)`` works well for the plain series at moderate
-    loads; ``-23 / (Q + 23)`` for the truncated iteration at large ones.
+    loads; ``-23 / (|Q| + 23)`` for the truncated iteration at large ones.
     """
+    q = abs(load)
     if iterated:
-        return -23.0 / (load + 23.0)
-    return -13.0 / (13.0 + load * load)
+        return -23.0 / (q + 23.0)
+    return -13.0 / (13.0 + q * q)
 
 
 def initial_slope(load: float, c0: float, boundary: BoundarySpec) -> np.ndarray:

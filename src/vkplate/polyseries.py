@@ -14,7 +14,9 @@ array, which ``PolySeries`` reads as ``[0]``.
 Coefficients are float64 by default.  Passing a companion ``lo`` array
 turns each coefficient into a double-double value (see
 :mod:`vkplate.ddouble`); every operation then tracks the compensated
-parts, which is what the extended-precision solver mode runs on.
+parts, which is what the extended-precision solver mode runs on.  A grid
+evaluation reads cached power tables: one vector-matrix product in float64,
+a two-level compensated dot product (``_horner_dd``) in double-double.
 
 The arithmetic is written once, on coefficient arrays (``PolySeries.array``:
 float64 ``coeffs``, or the (2, n) stack of ``coeffs`` over ``lo``); the
@@ -125,8 +127,7 @@ class PolySeries:
             for c in self.coeffs[::-1]:
                 acc = acc * y + c
             return acc
-        h, l = self._horner_dd(np.asarray(y, dtype=float))
-        return float(h)
+        return float(self._horner_dd(y)[0])
 
     def evaluate_grid(self, ys: np.ndarray) -> np.ndarray:
         """Values at points of [0, 1], shaped like ys; other points raise ValueError.
@@ -152,24 +153,34 @@ class PolySeries:
     def _horner_dd(self, ys):
         """Double-double evaluation; returns (hi, lo) arrays shaped like ys.
 
-        p(y) = c_0 + y * q(y), with q evaluated by ``dd.reduce_rows``
-        (Estrin's scheme) and the constant term added last.  At y = 1, q
-        is exactly the plain ``reduce_rows`` sum of c_1..c_{n-1}, so a
-        constant set to minus that sum (see ``deflection_series``)
-        cancels to zero exactly.
+        p(y) = c_0 + y * q(y), with q two levels of ``dd.dot_rows`` (the baby
+        and giant steps of Paterson & Stockmeyer 1973): each run of 16 of
+        c_1..c_{n-1} against y**0..y**15, then the runs' sums Q_j against
+        y**(16 j), from ``_dd_power_table``.  The cross terms hi * lo and
+        lo * hi join the product errors, lo * lo is left out.  Each point is
+        its own sum, whatever the blocks: y = 0 gives c_0 exactly, and
+        ``deflection_series`` takes its constant from this sum at y = 1.
         """
-        hi = self.coeffs
-        lo = self.lo if self.lo is not None else np.zeros_like(hi)
         ys = np.asarray(ys, dtype=float)
         flat = ys.ravel()
-        out_h = np.empty(flat.size)
-        out_l = np.empty(flat.size)
-        for b in _blocks(flat.size, len(hi) - 1, _BLOCK):
-            y = flat[b]
-            qh, ql = dd.reduce_rows(hi[1:, None], lo[1:, None], y)
-            qh, ql = dd.mul_d(qh, ql, y)
-            out_h[b], out_l[b] = dd.add(qh, ql, hi[0], lo[0])
-        return out_h.reshape(ys.shape), out_l.reshape(ys.shape)
+        c = widen(self.array)
+        runs = max(1, -(-(c.shape[1] - 1) // _RUN))
+        # d[:, k, j] is c_(1 + 16 j + k), zero past the last coefficient
+        d = _pad(c[:, 1:], runs * _RUN).reshape(2, runs, _RUN).transpose(0, 2, 1)[..., None]
+        table = _dd_power_table(flat, runs)
+        q = np.empty((2, runs, flat.size))
+        # as many blocks of points as _BLOCK asks for, of equal size
+        count = max(1, len(_blocks(flat.size, runs * _RUN, _BLOCK)))
+        step = max(1, -(-flat.size // count))
+        for b in (slice(i, i + step) for i in range(0, flat.size, step)):
+            bh, bl = table[:, :_RUN, None, b]
+            q[:, :, b] = dd.quick_two_sum(*dd.dot_rows(d[0], bh, lo=(d[1], bl)))
+        out = np.empty((2, flat.size))
+        for b in _blocks(flat.size, runs, _BLOCK):
+            (qh, ql), (gh, gl) = q[:, :, b], table[:, _RUN : _RUN + runs, b]
+            s, e = dd.dot_rows(qh, gh, lo=(ql, gl))
+            out[:, b] = dd.add(*dd.mul_d(*dd.quick_two_sum(s, e), flat[b]), *c[:, 0])
+        return out[0].reshape(ys.shape), out[1].reshape(ys.shape)
 
     def integral_over_y(self) -> float:
         """The weighted integral of f(y)/y over [0, 1].
@@ -195,6 +206,11 @@ _MAX_TABLES = 8
 #: Power tables of the blocks of points evaluated last, oldest first,
 #: keyed by the bytes of their points.
 _TABLES: dict[bytes, np.ndarray] = {}
+#: Coefficients per baby step of ``_horner_dd``.
+_RUN = 16
+#: Double-double power tables of the point sets evaluated last, keyed as
+#: ``_TABLES`` but one per point set.
+_DD_TABLES: dict[bytes, np.ndarray] = {}
 
 
 def _blocks(n: int, per: int, size: int):
@@ -208,24 +224,44 @@ def _check_unit(ys: np.ndarray) -> None:
         raise ValueError("evaluation grid leaves [0, 1]")
 
 
-def _power_table(ys: np.ndarray, powers: int) -> np.ndarray:
-    """Read-only table P[m, i] = ys[i]**(m + 1) with at least ``powers`` rows.
-
-    The points are checked when a table is built.  Callers ask for a
-    power of two, so a series that grows on one grid rebuilds its table
-    about log2(degree) times; the last ``_MAX_TABLES`` blocks of points
-    keep theirs.
-    """
-    key = ys.tobytes()
-    table = _TABLES.pop(key, None)  # put back below as the newest entry
-    if table is None or len(table) < powers:
-        _check_unit(ys)
-        table = np.cumprod(np.broadcast_to(ys, (powers, ys.size)), axis=0)
+def _cached(tables: dict, key: bytes, rows: int, build) -> np.ndarray:
+    """Read-only table of key, >= ``rows`` rows on axis -2; the last ``_MAX_TABLES`` keys stay."""
+    table = tables.pop(key, None)  # put back below as the newest entry
+    if table is None or table.shape[-2] < rows:
+        table = build()
         table.flags.writeable = False
-    _TABLES[key] = table
-    if len(_TABLES) > _MAX_TABLES:
-        del _TABLES[next(iter(_TABLES))]
+    tables[key] = table
+    if len(tables) > _MAX_TABLES:
+        del tables[next(iter(tables))]
     return table
+
+
+def _power_table(ys: np.ndarray, powers: int) -> np.ndarray:
+    """Read-only table P[m, i] = ys[i]**(m + 1) with at least ``powers`` rows, a
+    power of two, so a series that grows on one grid rebuilds it about
+    log2(degree) times; the points are checked when it is built."""
+    def build():
+        _check_unit(ys)
+        return np.cumprod(np.broadcast_to(ys, (powers, ys.size)), axis=0)
+    return _cached(_TABLES, ys.tobytes(), powers, build)
+
+
+def _dd_power_table(ys: np.ndarray, runs: int) -> np.ndarray:
+    """Read-only double-double powers of ys, stacked (hi, lo): rows 0..15 are
+    y**k, rows 16.. y**(16 j) for j below a power of two >= ``runs``.  The
+    points are not checked."""
+    runs = 1 << (runs - 1).bit_length()
+
+    def build():
+        t = np.zeros((2, _RUN + runs, ys.size))
+        t[0, 0] = t[0, _RUN] = 1.0
+        for k in range(1, _RUN):
+            t[:, k] = dd.mul_d(*t[:, k - 1], ys)
+        step = dd.mul_d(*t[:, _RUN - 1], ys)
+        for j in range(_RUN + 1, _RUN + runs):
+            t[:, j] = dd.mul(*t[:, j - 1], *step)
+        return t
+    return _cached(_DD_TABLES, ys.tobytes(), _RUN + runs, build)
 
 
 def widen(a: np.ndarray) -> np.ndarray:
@@ -329,9 +365,9 @@ def deflection_series(phi: PolySeries) -> PolySeries:
 
     With ``phi = sum c_m y**m`` (vanishing at 0), the deflection is
     ``W(y) = sum c_m (y**m - 1) / m``: monomial weights ``c_m / m`` plus
-    a constant chosen so W(1) = 0.  The constant is accumulated in the
-    exact order evaluation at y = 1 uses (Horner for float64,
-    ``dd.reduce_rows`` for double-double), so ``W.evaluate(1.0)``
+    a constant chosen so W(1) = 0.  The constant is minus W(1) evaluated
+    with a zero constant, as ``W.evaluate(1.0)`` evaluates it (Horner for
+    float64, ``_horner_dd`` for double-double), so ``W.evaluate(1.0)``
     cancels to zero exactly, not merely to rounding.
     """
     a = phi.array
@@ -341,11 +377,8 @@ def deflection_series(phi: PolySeries) -> PolySeries:
     w = np.zeros(a.shape)
     if phi.lo is None:
         w[1:] = phi.coeffs[1:] / m
-        acc = 0.0
-        for j in range(len(w) - 1, 0, -1):
-            acc = acc + w[j]
-        w[0] = -acc
+        w[0] = -PolySeries(w).evaluate(1.0)
     else:
         w[:, 1:] = dd.div_d(phi.coeffs[1:], phi.lo[1:], m.astype(float))
-        w[:, 0] = np.negative(dd.reduce_rows(w[0, 1:], w[1, 1:]))
+        w[:, :1] = np.negative(PolySeries.from_array(w)._horner_dd(np.ones(1)))
     return PolySeries.from_array(w)

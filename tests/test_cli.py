@@ -46,6 +46,31 @@ def test_zero_control_value_rejected():
     assert run_cli(["solve-q", "--Q", "5", "--c0", "0"]) == 1
 
 
+def test_fitted_control_that_underflows_is_a_usage_error(capsys):
+    # 13 + Q**2 overflows, so -13 / (13 + Q**2) is -0.0; --c0 is the way out
+    for argv in (["solve-q", "--Q", "1e300"], ["solve-a", "--a", "1e300"]):
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert "fitted control value underflows" in err and "--c0" in err
+        assert "nonzero finite" not in err
+
+
+@pytest.mark.parametrize("load", ["23", "11.5", "30"])
+def test_negative_load_mirrors_its_positive_twin(load, capsys):
+    # the fitted control, too: phi and q change sign, everything else is equal
+    runs = {}
+    for q in (load, "-" + load):
+        run_cli(["solve-q", "--Q", q, "--iterate", "--format", "json", "--deterministic"])
+        runs[q] = json.loads(capsys.readouterr().out)
+    pos, neg = runs[load], runs["-" + load]
+    assert neg["config"].pop("load") == -pos["config"].pop("load")
+    assert neg["config"] == pos["config"]
+    assert neg["q"] == -pos["q"] and neg["phi_coeffs"] == [-c for c in pos["phi_coeffs"]]
+    for key in ("status", "err", "w0_over_h", "s_coeffs"):
+        assert neg[key] == pos[key], key
+    assert [r["err"] for r in neg["history"]] == [r["err"] for r in pos["history"]]
+
+
 def test_order_zero_deflection_series_is_a_usage_error(tmp_path, capsys):
     # order 0 has no load term to score; a load series records its guess
     out = tmp_path / "run.json"

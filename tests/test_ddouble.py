@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from vkplate import ddouble as dd
+from vkplate.polyseries import PolySeries
 
 
 def _exact(hi, lo):
@@ -127,6 +128,25 @@ def test_dot_matches_exact_rational_dot():
         assert abs(_exact(h[c], lo[c]) - sum(terms)) <= sum(map(abs, terms)) / 10**30
 
 
+def test_dot_rows_products_and_low_parts():
+    rng = np.random.default_rng(29)
+    x = rng.uniform(-3, 3, (37, 1)) * 10.0 ** rng.integers(-20, 4, (37, 1))
+    y = rng.uniform(-3, 3, (37, 5)) * 10.0 ** rng.integers(-20, 4, (37, 5))
+    # one row is one product: p and its error bit for bit as two_prod has them
+    for r in (0, 36):
+        s, e = dd.dot_rows(x[r : r + 1], y[r : r + 1])
+        p, pe = dd.two_prod(x[r], y[r])
+        assert np.array_equal(s, p) and np.array_equal(e, pe)
+    # double-double operands: the cross terms join the errors, x_lo * y_lo
+    # (below 1e-32 of each product) is left out
+    xh, xl = dd.two_sum(x, x * rng.uniform(-1, 1, x.shape) * 1e-17)
+    yh, yl = dd.two_sum(y, y * rng.uniform(-1, 1, y.shape) * 1e-17)
+    h, lo = dd.quick_two_sum(*dd.dot_rows(xh, yh, lo=(xl, yl)))
+    for c in range(5):
+        terms = [_exact(xh[r, 0], xl[r, 0]) * _exact(yh[r, c], yl[r, c]) for r in range(37)]
+        assert abs(_exact(h[c], lo[c]) - sum(terms)) <= sum(map(abs, terms)) / 10**30
+
+
 def _significant_bits(v):
     n = abs(Fraction(float(v)).numerator)
     return (n >> (n & -n).bit_length() - 1).bit_length() if n else 0
@@ -153,12 +173,12 @@ def test_reduce_rows_matches_exact_rational_column_sums():
         want = sum((_exact(xh[r, c], xl[r, c]) for r in range(37)), Fraction(0))
         scale = sum(abs(_exact(xh[r, c], xl[r, c])) for r in range(37))
         assert abs(_exact(h[c], lo[c]) - want) <= scale * Fraction(1, 10**30)
-    # with y, the rows are weighted by y**i (Estrin's scheme)
+    # each column as the coefficients of a series evaluated at y (two-level Dot2)
     y = 0.75
-    h, lo = dd.reduce_rows(xh, xl, y)
     for c in range(6):
+        h, lo = PolySeries(xh[:, c], lo=xl[:, c])._horner_dd(np.asarray(y))
         terms = [_exact(xh[r, c], xl[r, c]) * Fraction(y) ** r for r in range(37)]
-        assert abs(_exact(h[c], lo[c]) - sum(terms)) <= sum(map(abs, terms)) / 10**30
+        assert abs(_exact(h, lo) - sum(terms)) <= sum(map(abs, terms)) / 10**30
     zh, zl = dd.reduce_rows(np.zeros((0, 4)), np.zeros((0, 4)))
     assert np.array_equal(zh, np.zeros(4)) and np.array_equal(zl, np.zeros(4))
 

@@ -177,3 +177,12 @@ def test_iterations_to_helper():
     it = rep.iterations_to(1e-6)
     assert it is not None and rep.history[it - 1].err <= 1e-6
     assert rep.iterations_to(0.0) is None or rep.err == 0.0
+
+
+def test_fitted_control_is_even_in_the_load():
+    # -Q flips phi and leaves S, so a negative load takes its mirror's control;
+    # -23 / (Q + 23) divided by zero at Q = -23 and was +3.29 at Q = -30
+    for q in (0.0, 5.0, 11.5, 23.0, 30.0, 1000.0, 1e300):
+        for iterated in (False, True):
+            assert empirical_c0(-q, iterated) == empirical_c0(q, iterated) <= 0.0
+    assert empirical_c0(-0.0) == empirical_c0(-0.0, True) == -1.0

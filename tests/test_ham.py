@@ -371,6 +371,28 @@ def test_residual_extended_matches_double():
     assert math.isclose(plain, ext, rel_tol=1e-12)
 
 
+def test_extended_residual_peak_memory():
+    # an N = 100 iterate pair, its grid tables already built: with Estrin's
+    # scheme as its grid evaluation this residual peaked at 339,245-339,359
+    # bytes above entry (numpy 2.4, Python 3.11); the two-level Dot2 at 337,113
+    import tracemalloc
+
+    mode = IterateMode(order=5, truncation=100, tol=1e-24, max_iter=3)
+    problem = GivenDeflectionProblem.with_c0(5.0, -0.5, mode, precision="extended")
+    report = solve_problem(problem)
+    assert len(report.phi.coeffs) == len(report.s.coeffs) == 101
+    args = (report.phi, report.s, report.q, problem.boundary)
+    residual_error(*args)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        residual_error(*args)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 339_359
+
+
 @pytest.mark.parametrize("precision", ["double", "extended"])
 @pytest.mark.parametrize("kind", BOUNDARY_KINDS)
 def test_residual_bound_holds_at_every_scored_order(monkeypatch, kind, precision):

@@ -349,3 +349,78 @@ def test_extended_multiply_against_mpmath(block, monkeypatch):
                 for k in range(len(prod.coeffs))]
         got = [Fraction(float(h)) + Fraction(float(l)) for h, l in zip(prod.coeffs, prod.lo)]
         assert got == want, cap
+
+
+def test_dd_power_table_cache(monkeypatch):
+    # one table per point set, whatever the degree: a longer series grows it
+    monkeypatch.setattr(polyseries, "_DD_TABLES", {})
+    tables = polyseries._DD_TABLES
+    rng = np.random.default_rng(61)
+    ys = np.linspace(0.0, 1.0, 101)
+    short, long = _dd_random_poly(rng, 10), _dd_random_poly(rng, 201)
+    cold = short._horner_dd(ys)
+    assert list(tables) == [ys.tobytes()]
+    table = tables[ys.tobytes()]
+    assert table.shape == (2, 17, 101) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 2.0
+    warm = short._horner_dd(ys)
+    assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
+    vlong = long._horner_dd(ys)
+    assert list(tables) == [ys.tobytes()]
+    table = tables[ys.tobytes()]
+    assert table.shape == (2, 32, 101) and table.nbytes == 51712  # 13 runs, rounded up to 16
+    # rows 0..15 hold y**k and rows 16..31 y**(16 j), to double-double accuracy
+    for i in (50, 75, 99, 100):
+        y = Fraction(float(ys[i]))
+        for row, k in enumerate(list(range(16)) + [16 * j for j in range(16)]):
+            got = Fraction(float(table[0, row, i])) + Fraction(float(table[1, row, i]))
+            assert abs(got - y**k) <= y**k / 10**29, (i, k)
+    # a grown table, or a cold one, gives the same bits as a warm one
+    for p, before in ((short, cold), (long, vlong)):
+        assert all(np.array_equal(a, b) for a, b in zip(p._horner_dd(ys), before))
+        tables.clear()
+        assert all(np.array_equal(a, b) for a, b in zip(p._horner_dd(ys), before))
+
+    # bounded: the point sets used longest ago are dropped; float64 tables are apart
+    grids = [ys ** (k + 1) for k in range(polyseries._MAX_TABLES + 2)]
+    for g in grids:
+        short._horner_dd(g)
+    assert list(tables) == [g.tobytes() for g in grids[-polyseries._MAX_TABLES:]]
+    monkeypatch.setattr(polyseries, "_TABLES", {})
+    PolySeries(short.coeffs).evaluate_grid(ys)
+    assert len(tables) == polyseries._MAX_TABLES and list(polyseries._TABLES) == [ys.tobytes()]
+
+
+@pytest.mark.parametrize("block", [polyseries._BLOCK, 97])
+def test_extended_evaluation_against_mpmath(block, monkeypatch):
+    # coefficients from 1e-30 to 1e3, on the residual grid; block 97 gives
+    # one-point blocks to the degree-200 series
+    import mpmath
+
+    monkeypatch.setattr(polyseries, "_BLOCK", block)
+    rng = np.random.default_rng(67)
+    ys = np.linspace(0.0, 1.0, 101)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for length in (1, 2, 16, 17, 33, 201):
+            p = _dd_random_poly(rng, length, (-30, 3))
+            vh, vl = p._horner_dd(ys)
+            # y = 0 gives c_0 bit for bit, on a grid and alone
+            assert vh[0] == p.coeffs[0] and vl[0] == p.lo[0]
+            assert p.evaluate(0.0) == p.coeffs[0] == p.evaluate_grid([0.0])[0]
+            # every point is its own sum, whatever the blocks
+            for i in (37, 100):
+                h, lo = p._horner_dd(ys[i : i + 1])
+                assert h[0] == vh[i] and lo[0] == vl[i]
+            cs = [mpmath.mpf(float(h)) + mpmath.mpf(float(l)) for h, l in zip(p.coeffs, p.lo)]
+            for y, h, l in zip(ys, vh, vl):
+                y = mpmath.mpf(float(y))
+                want, scale = mpmath.mpf(0), mpmath.mpf(0)
+                for c in reversed(cs):
+                    want = want * y + c
+                    scale = scale * y + abs(c)
+                err = abs(mpmath.mpf(float(h)) + mpmath.mpf(float(l)) - want) / scale
+                assert err <= mpmath.mpf(1e-28), (length, float(y))
+                worst = max(worst, float(err))
+    assert worst < 1e-30  # measured 7.7e-32
