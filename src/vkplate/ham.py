@@ -63,6 +63,7 @@ from .polyseries import (
     PolySeries,
     add,
     convolve,
+    drop_power_tables,
     multiply,
     over_y_squared,
     scale,
@@ -198,7 +199,8 @@ def iterate_pass(state: HomotopyState, order: int, truncation: int | None,
                          state.c1, state.c2, state.load)
 
 
-def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=None):
+def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=None,
+                    extended: bool = False):
     """Yield ``(iteration, order, phi, s, q)`` for every pair a solve scores.
 
     A ``SeriesMode`` yields the running partial sums after orders
@@ -211,6 +213,10 @@ def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=Non
     ``q`` is the load the pair is scored against: the prescribed load, or
     the summed load expansion so far.  ``phi`` and ``s`` are
     ``PolySeries``; the state holds arrays.
+
+    ``extended`` widens the state to double-double: a series at once, an
+    iterate run once a pass scores err <= 2**-53 * m**2 (sent back), m the
+    pair's largest |coefficient|, so its rounding is sqrt(2**-53) below sqrt(err).
     """
     series = PolySeries.from_array
     if isinstance(mode, IterateMode):
@@ -218,10 +224,17 @@ def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=Non
         for it in range(1, mode.max_iter + 1):
             fresh = step(state, mode.order, mode.truncation, boundary)
             q, state = state.q, fresh  # free the finished terms before the pass is scored
-            yield (it, it * mode.order, series(state.phi_terms[0]),
-                   series(state.s_terms[0]), q)
+            phi, s = state.phi_terms[0], state.s_terms[0]
+            err = yield it, it * mode.order, series(phi), series(s), q
+            if extended and phi.ndim == 1:
+                drop_power_tables()  # 202 KB, rebuilt by the next residual, not kept
+                # m by Python's max: a first numpy reduction paged in 64 KB of code
+                if err <= 2.0**-53 * max(map(abs, phi.tolist() + s.tolist())) ** 2:
+                    state.phi_terms[0], state.s_terms[0] = widen(phi), widen(s)
         return
     phi, s = state.phi_terms[0], state.s_terms[0]
+    if extended:
+        state.phi_terms[0], state.s_terms[0] = phi, s = widen(phi), widen(s)
     if state.load is not None:
         yield 0, 0, series(phi), series(s), state.load
     for k in range(1, mode.order + 1):
@@ -333,11 +346,12 @@ def run_passes(passes, boundary: BoundarySpec, config: dict,
                mode: SeriesMode | IterateMode, watch=None) -> RunReport:
     """Score, record and classify the passes of one solve under ``mode``.
 
-    ``passes`` yields at least one ``(iteration, order, phi, s, q)``.
+    ``passes`` generates at least one ``(iteration, order, phi, s, q)`` and
+    is sent the last scored err (None before the first) for the next.
     Each pass gets one residual evaluation, one ``w0 =
     phi.integral_over_y()`` (W(0) = -w0), one history record and, with
     ``watch`` set, one call ``watch(w0, diverged)``.  A non-finite residual
-    or one above ``DIVERGENCE_ERR`` ends the run as diverged; an order-0
+    (nan is recorded as inf) or one above ``DIVERGENCE_ERR`` ends the run diverged; an order-0
     record is the starting guess, not a pass, and is never judged
     diverged.  An ``IterateMode`` run ends as converged at the first
     residual at or below ``mode.tol``, or as stalled once
@@ -356,10 +370,14 @@ def run_passes(passes, boundary: BoundarySpec, config: dict,
     sparse = isinstance(mode, SeriesMode) and not mode.every_order
     records = []
     status = "max_iter"
-    err = best = math.inf
+    err, best = None, math.inf
     since_best = 0
     t0 = time.perf_counter()
-    for iteration, order, phi, s, q in passes:
+    while True:
+        try:
+            iteration, order, phi, s, q = passes.send(err)
+        except StopIteration:
+            break
         w0 = phi.integral_over_y()
         if sparse and order < mode.order and (
                 order == 0 or residual_bound(phi, s, q, boundary) <= DIVERGENCE_ERR / 2):
@@ -367,9 +385,11 @@ def run_passes(passes, boundary: BoundarySpec, config: dict,
                 watch(w0, False)
             continue
         err = residual_error(phi, s, q, boundary)
+        if err != err:  # nan: the pair is not finite
+            err = math.inf
         records.append(IterationRecord(iteration, order, err, q, w_over_h(w0, boundary.nu),
                                        (time.perf_counter() - t0) * 1e3))
-        diverged = order > 0 and (not math.isfinite(err) or err > DIVERGENCE_ERR)
+        diverged = order > 0 and err > DIVERGENCE_ERR
         if watch is not None:
             watch(w0, diverged)
         if diverged:
@@ -396,9 +416,17 @@ def solve(problem, phi0: np.ndarray, head: dict, watch=None, step=None) -> RunRe
     ``homotopy_passes``), and ``watch`` is ``run_passes``' per-pass call.
     """
     mode, b = problem.mode, problem.boundary
-    s0 = np.zeros(1)
-    if problem.precision == "extended":
-        phi0, s0 = widen(phi0), widen(s0)
-    state = HomotopyState([phi0], [s0], problem.c1, problem.c2, getattr(problem, "load", None))
-    return run_passes(homotopy_passes(state, mode, b, step), b,
-                      config_echo(problem, head), mode, watch)
+    ext = problem.precision == "extended"
+    state = HomotopyState([phi0], [np.zeros(1)], problem.c1, problem.c2,
+                          getattr(problem, "load", None))
+    # extended: 16 KB numpy ufunc buffers, not 64 KB, for broadcast double-double products
+    bufsize = np.setbufsize(2048 if ext else np.getbufsize())
+    try:
+        report = run_passes(homotopy_passes(state, mode, b, step, ext), b,
+                            config_echo(problem, head), mode, watch)
+    finally:
+        np.setbufsize(bufsize)
+    if ext and not report.phi.extended:  # an extended report is double-double
+        report.phi, report.s = (PolySeries.from_array(widen(p.array))
+                                for p in (report.phi, report.s))
+    return report

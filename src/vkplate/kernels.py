@@ -21,13 +21,12 @@ before anything else trusts it.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ddouble as dd
-from .polyseries import PolySeries, scale, weighted_integral, widen
+from .polyseries import PolySeries, fsum, scale, weighted_integral, widen
 
 #: Supported support conditions at the plate edge.
 BOUNDARY_KINDS = ("clamped", "moveable", "simple", "hinged")
@@ -110,7 +109,7 @@ def kernel_map(f: np.ndarray, w: float) -> np.ndarray:
         out[2:] = f * tail
         # all input monomials contribute to the linear term; fsum keeps the
         # accumulated rounding from drifting over long runs
-        out[1] += math.fsum((f * lin).tolist())
+        out[1] += fsum(f * lin)
         return out
     lin_h, lin_l, tail_h, tail_l = weights
     out[:, 2:] = dd.mul(f[0], f[1], tail_h, tail_l)

@@ -66,11 +66,6 @@ def deflection_curve(phi: PolySeries, nu: float, samples: int = 101):
     """
     if samples < 2:
         raise ValueError("need at least two sample points")
-    w = deflection_series(phi)
-    scale = deflection_scale(nu)
-    rows = []
-    for y in np.linspace(0.0, 1.0, samples):
-        y = float(y)
-        wv = w.evaluate(y)
-        rows.append((y, math.sqrt(y), wv, wv / scale))
-    return rows
+    ys = np.linspace(0.0, 1.0, samples)
+    ws, scale = deflection_series(phi).evaluate(ys), deflection_scale(nu)
+    return [(y, math.sqrt(y), w, w / scale) for y, w in zip(ys.tolist(), ws.tolist())]

@@ -118,16 +118,19 @@ class PolySeries:
         """
         return PolySeries.from_array(over_y_squared(self.array))
 
-    def evaluate(self, y: float) -> float:
-        """Horner evaluation at a point of the unit interval."""
-        if not 0.0 <= y <= 1.0:
+    def evaluate(self, y):
+        """Horner evaluation at a point of [0, 1], or at an array of them (same bits)."""
+        if np.ndim(y):
+            _check_unit(y := np.asarray(y, dtype=float))
+        elif not 0.0 <= y <= 1.0:
             raise ValueError(f"evaluation point {y!r} outside [0, 1]")
         if self.lo is None:
             acc = 0.0
             for c in self.coeffs[::-1]:
                 acc = acc * y + c
             return acc
-        return float(self._horner_dd(y)[0])
+        v = self._horner_dd(y)[0]
+        return v if np.ndim(y) else float(v)
 
     def evaluate_grid(self, ys: np.ndarray) -> np.ndarray:
         """Values at points of [0, 1], shaped like ys; other points raise ValueError.
@@ -220,7 +223,8 @@ def _blocks(n: int, per: int, size: int):
 
 
 def _check_unit(ys: np.ndarray) -> None:
-    if not np.all((ys >= 0.0) & (ys <= 1.0)):  # NaN fails both comparisons
+    # in Python: a first np.all of the comparisons paged in 192 KB of code
+    if not all(0.0 <= y <= 1.0 for y in ys.ravel().tolist()):  # NaN fails both
         raise ValueError("evaluation grid leaves [0, 1]")
 
 
@@ -244,6 +248,10 @@ def _power_table(ys: np.ndarray, powers: int) -> np.ndarray:
         _check_unit(ys)
         return np.cumprod(np.broadcast_to(ys, (powers, ys.size)), axis=0)
     return _cached(_TABLES, ys.tobytes(), powers, build)
+
+
+def drop_power_tables() -> None:
+    _TABLES.clear()
 
 
 def _dd_power_table(ys: np.ndarray, runs: int) -> np.ndarray:
@@ -290,20 +298,29 @@ def scale(a: np.ndarray, alpha: float) -> np.ndarray:
     return a * alpha if a.ndim == 1 else np.array(dd.mul_d(*a, alpha))
 
 
+def fsum(values: np.ndarray) -> float:
+    """``math.fsum`` of an array, or past inf - inf or the float range its numpy sum."""
+    try:
+        return math.fsum(values.tolist())
+    except (ValueError, OverflowError):
+        return float(np.sum(values))
+
+
 def over_y_squared(a: np.ndarray) -> np.ndarray:
-    """Remove an exact ``y**2`` factor (ValueError if there is none)."""
-    if np.count_nonzero(a[..., :2]):
+    """Remove an exact ``y**2`` factor (ValueError if there is none; a non-finite
+    array passes, as its nonzero came from an overflow, inf * 0, not a bug)."""
+    if np.count_nonzero(a[..., :2]) and np.isfinite(a).all():
         raise ValueError("series has no y**2 factor (valuation < 2)")
     return a[..., 2:]
 
 
 def weighted_integral(a: np.ndarray) -> float:
     """The integral of f(y)/y over [0, 1]: the sum of a[m] / m (a[0] must vanish)."""
-    if np.count_nonzero(a[..., 0]):
+    if np.count_nonzero(a[..., 0]) and np.isfinite(a).all():
         raise ValueError("integrand f(y)/y singular at 0 (nonzero constant term)")
     m = np.arange(1, a.shape[-1])
     if a.ndim == 1:
-        return math.fsum((a[1:] / m).tolist())
+        return fsum(a[1:] / m)
     h, l = dd.div_d(a[0, 1:], a[1, 1:], m.astype(float))
     return dd.to_float(*dd.reduce_rows(h, l))
 
@@ -371,7 +388,7 @@ def deflection_series(phi: PolySeries) -> PolySeries:
     cancels to zero exactly, not merely to rounding.
     """
     a = phi.array
-    if np.count_nonzero(a[..., 0]):
+    if np.count_nonzero(a[..., 0]) and np.isfinite(a).all():
         raise ValueError("slope series must vanish at y = 0")
     m = np.arange(1, len(phi.coeffs))
     w = np.zeros(a.shape)

@@ -1,0 +1,97 @@
+"""An extended iterate run takes float64 passes until its residual nears
+float64's reach, then double-double ones (``ham.homotopy_passes``); and a
+pass whose series overflow ends the run as diverged, with its report."""
+
+import contextlib
+import io
+from dataclasses import astuple
+
+import numpy as np
+import pytest
+
+from vkplate import cli, ham
+from vkplate.config import IterateMode, SeriesMode
+from vkplate.diagnostics import solve_problem
+from vkplate.given_deflection import GivenDeflectionProblem, initial_slope
+from vkplate.given_load import GivenLoadProblem
+from vkplate.kernels import BoundarySpec
+from vkplate.polyseries import widen
+
+_EXT = IterateMode(order=5, truncation=100, tol=1e-24)
+
+
+def _rows(report):
+    """History rows without their wall-clock column."""
+    return [astuple(rec)[:-1] for rec in report.history]
+
+
+@pytest.mark.parametrize("a, c0, floats", [(5.0, -0.5, 6), (10.0, -0.2, 15)])
+def test_rows_before_the_switch_are_the_double_rows(a, c0, floats):
+    ext = solve_problem(GivenDeflectionProblem.with_c0(a, c0, _EXT, precision="extended"))
+    plain = solve_problem(GivenDeflectionProblem.with_c0(a, c0, _EXT))
+    assert _rows(ext)[:floats] == _rows(plain)[:floats]
+    assert _rows(ext)[floats] != _rows(plain)[floats]  # the first double-double pass
+
+
+@pytest.mark.parametrize("load, c0, tol", [(5.0, -0.5, 1e-60), (132.2, -0.15, 1e-50)])
+def test_switched_runs_reach_the_double_double_floor(load, c0, tol):
+    # from a double-double start these runs bottom out at 1.5e-65 and
+    # 1.8e-54; double stalls at 2.7e-33 and 9.9e-32
+    mode = IterateMode(order=5, truncation=100, tol=tol, max_iter=200)
+    rep = solve_problem(GivenLoadProblem.with_c0(load, c0, mode, precision="extended"))
+    assert rep.status == "converged" and rep.err <= tol
+
+
+@pytest.mark.parametrize("problem", [
+    GivenLoadProblem.with_c0(0.0, -0.5, IterateMode(max_iter=3), precision="extended"),
+    # converged at pass 4 (err 8.5e-9), before the switch at pass 7
+    GivenDeflectionProblem.with_c0(5.0, -0.5, IterateMode(tol=1e-6), precision="extended"),
+    GivenDeflectionProblem.with_c0(5.0, -0.5, _EXT, precision="extended"),
+    GivenLoadProblem.with_c0(5.0, -0.35, SeriesMode(3), precision="extended"),
+], ids=["zero-load", "before-switch", "after-switch", "series"])
+def test_an_extended_report_is_double_double(problem):
+    rep = solve_problem(problem)
+    assert rep.phi.extended and rep.s.extended
+
+
+def test_switched_run_agrees_with_an_all_double_double_run():
+    problem = GivenDeflectionProblem.with_c0(10.0, -0.2, _EXT, precision="extended")
+    rep = solve_problem(problem)
+    b = problem.boundary
+    state = ham.HomotopyState([widen(initial_slope(10.0, b))], [widen(np.zeros(1))],
+                              problem.c1, problem.c2)
+    ref = ham.run_passes(ham.homotopy_passes(state, _EXT, b), b, {}, _EXT)
+    assert ref.phi.extended and len(ref.history) == len(rep.history) == 26
+    last_change = abs(rep.history[-1].q - rep.history[-2].q)
+    assert 0.0 < abs(rep.q - ref.q) <= last_change
+
+
+def _overflowed(line):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.warns(RuntimeWarning), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(line.split() + ["--deterministic"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("line", [
+    "solve-q --Q 1e300 --c0 -0.5 --order 2",
+    "solve-q --Q 1e300 --c0 -0.5 --iterate",
+    "solve-q --Q 1e300 --c0 -0.5 --order 2 --precision extended",
+    "solve-a --a 1e300 --c0 -0.5 --iterate --precision extended --format json",
+], ids=["series", "iterate", "extended-series", "extended-iterate"])
+def test_an_overflowed_pass_ends_diverged(line):
+    # the series overflow to inf, and their products meet inf - inf and
+    # inf * 0: the pass scores err = inf and the run ends with its report
+    code, out, err = _overflowed(line)
+    assert code == 2 and "Traceback" not in err
+    assert "status=diverged" in err and "err=inf" in err
+    assert out
+
+
+def test_a_finite_structural_fault_still_raises():
+    # a slope guess with a constant term is a bug, not an overflow
+    state = ham.HomotopyState([np.array([1.0, 0.5])], [np.zeros(1)], -0.5, -0.5, 1.0)
+    mode, b = IterateMode(max_iter=2), BoundarySpec()
+    with pytest.raises(ValueError, match=r"y\*\*2 factor"):
+        ham.run_passes(ham.homotopy_passes(state, mode, b), b, {}, mode)

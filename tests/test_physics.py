@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from vkplate.config import IterateMode
+from vkplate.given_deflection import GivenDeflectionProblem
+from vkplate.given_deflection import solve as solve_deflection
 from vkplate.given_load import GivenLoadProblem, solve
 from vkplate.physics import (
     PhysicalPlate,
@@ -16,7 +18,7 @@ from vkplate.physics import (
     load_number,
     w_over_h,
 )
-from vkplate.polyseries import PolySeries
+from vkplate.polyseries import PolySeries, deflection_series
 
 
 def test_plate_validation():
@@ -72,3 +74,19 @@ def test_curve_edge_and_axis_columns():
     wh = [r[3] for r in rows]
     assert abs(wh[0] - 6.14) < 0.05
     assert all(b <= a + 1e-12 for a, b in zip(wh, wh[1:]))
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_curve_is_the_pointwise_evaluation(precision):
+    # one evaluation over all samples gives each sample the bits that
+    # evaluating W at it alone gives
+    mode = IterateMode(order=5, truncation=100, tol=1e-24)
+    rep = solve_deflection(GivenDeflectionProblem.with_c0(5.0, -0.5, mode,
+                                                          precision=precision))
+    assert rep.phi.extended == (precision == "extended")
+    w = deflection_series(rep.phi)
+    rows = deflection_curve(rep.phi, 0.3, samples=201)
+    for (y, _, wv, wh), t in zip(rows, np.linspace(0.0, 1.0, 201), strict=True):
+        assert y == float(t) and wv == w.evaluate(y) and wh == wv / deflection_scale(0.3)
+    with pytest.raises(ValueError, match="leaves"):
+        w.evaluate(np.array([0.5, 1.5]))

@@ -75,6 +75,10 @@ COMMANDS = (
     "solve-a --a 40 --iterate --c0 -0.009 --N 240 --max-iter 1500" + _D,
     "solve-a --a 5 --c0 -0.5" + _ITER_EXT + _D,
     "solve-a --a 5 --c0 -0.5 --format json" + _ITER_EXT + _D,
+    # extended iterate runs that widen to double-double mid-run: the README's
+    # run below the float64 floor, and the benchmark's a = 10 solve
+    "solve-q --Q 5 --iterate --M 5 --N 100 --c0 -0.5 --tol 1e-40" + _EXT + _D,
+    "solve-a --a 10 --c0 -0.2" + _ITER_EXT + _D,
     # extended-precision series in both directions
     "solve-q --Q 5 --order 20 --format json" + _EXT + _D,
     "solve-a --a 5 --order 20 --format json" + _EXT + _D,
