@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -38,7 +39,12 @@ MAX_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures exit with status 1."""
+    """argparse variant whose usage failures exit with status 1; ``-1e3`` is a value."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        # argparse's own pattern misses exponents; no option is spelled like a number
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -70,7 +70,7 @@ def initial_slope(deflection: float, boundary: BoundarySpec) -> np.ndarray:
     return forcing(boundary, -4.0 * deflection / (2.0 * boundary.lam + 1.0))
 
 
-def solve(problem: GivenDeflectionProblem) -> RunReport:
+def solve(problem: GivenDeflectionProblem, state: ham.HomotopyState | None = None) -> RunReport:
     """Run the configured mode; history carries the evolving load estimate,
     ``restriction_defect`` the worst |w0 + a| of a pass (``ham.run_passes``)."""
     a = problem.deflection
@@ -85,6 +85,6 @@ def solve(problem: GivenDeflectionProblem) -> RunReport:
                                "the load-term solve is broken")
 
     report = ham.solve(problem, initial_slope(a, problem.boundary),
-                       {"solver": "given_deflection", "deflection": a}, guard)
+                       {"solver": "given_deflection", "deflection": a}, guard, state=state)
     report.restriction_defect = worst_defect
     return report

@@ -58,8 +58,8 @@ def initial_slope(load: float, c0: float, boundary: BoundarySpec) -> np.ndarray:
     return forcing(boundary, load * c0)
 
 
-def solve(problem: GivenLoadProblem) -> RunReport:
+def solve(problem: GivenLoadProblem, state: ham.HomotopyState | None = None) -> RunReport:
     """Run the configured mode and report per-step history plus the solution."""
     q = problem.load
     return ham.solve(problem, initial_slope(q, problem.c1, problem.boundary),
-                     {"solver": "given_load", "load": q})
+                     {"solver": "given_load", "load": q}, state=state)

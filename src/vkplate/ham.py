@@ -40,6 +40,7 @@ builds the run report.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -99,7 +100,18 @@ class HomotopyState:
     @property
     def q(self) -> float:
         """The prescribed load, or the summed load expansion so far."""
-        return self.load if self.load is not None else math.fsum(self.q_terms)
+        return self.q_through(len(self.q_terms))
+
+    def q_through(self, k: int) -> float:
+        """The prescribed load, or the load expansion summed through order k."""
+        return self.load if self.load is not None else math.fsum(self.q_terms[:k])
+
+    def row(self, i: int) -> HomotopyState:
+        """Row i of a batch's state (see ``deformation_step``): its control's own state."""
+        return HomotopyState([t[i, 0] for t in self.phi_terms], [t[i, 0] for t in self.s_terms],
+                             float(self.c1[i, 0, 0]), float(self.c2[i, 0, 0]), self.load,
+                             [float(q[i, 0, 0]) if isinstance(q, np.ndarray) else q
+                              for q in self.q_terms])
 
 
 def truncation_rule(truncation: int | None):
@@ -147,7 +159,8 @@ def deformation_step(state: HomotopyState, k: int, boundary: BoundarySpec,
                      truncation: int | None = None):
     """Extend the state by deformation order k.
 
-    With ``truncation`` set, coupling products are computed only up to
+    The terms may be a float64 batch (:mod:`.polyseries`; ``c1``, ``c2``
+    shaped (R, 1, 1)).  With ``truncation`` set, coupling products are computed only up to
     degree truncation + 2 and both right-hand sides are cut at the
     truncation degree before use, which caps all stored degrees.  In
     prescribed-deflection mode the load term is solved from the
@@ -169,7 +182,10 @@ def deformation_step(state: HomotopyState, k: int, boundary: BoundarySpec,
     else:
         coef = state.load if k == 1 else 0.0
     state.q_terms.append(coef)
-    d1 = base if coef == 0.0 else add(base, forcing(boundary, coef, base.ndim == 2))
+    if isinstance(coef, np.ndarray):  # a batch's load terms, each added unless zero
+        d1 = np.where(coef == 0.0, base, add(base, forcing(boundary, coef)))
+    else:
+        d1 = base if coef == 0.0 else add(base, forcing(boundary, coef, base.ndim == 2))
     d2 = _membrane_base(phi, s, k, boundary, cap)[..., keep]
 
     if k == 1:  # the first order inherits no earlier term
@@ -238,10 +254,11 @@ def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=Non
     if state.load is not None:
         yield 0, 0, series(phi), series(s), state.load
     for k in range(1, mode.order + 1):
-        deformation_step(state, k, boundary)
+        if k == len(state.phi_terms):  # a stepped state holds orders already
+            deformation_step(state, k, boundary)
         phi = add(phi, state.phi_terms[k])
         s = add(s, state.s_terms[k])
-        yield k, k, series(phi), series(s), state.q
+        yield k, k, series(phi), series(s), state.q_through(k)
 
 
 def staggered_pass(state: HomotopyState, boundary: BoundarySpec,
@@ -295,6 +312,14 @@ def residual_error(phi: PolySeries, s: PolySeries, load: float,
     return dd.to_float(sh, sl)
 
 
+@functools.lru_cache(maxsize=16)
+def _ramp(size: int):
+    """Read-only k and 1 / k for k = 1..size - 1, one table per power-of-two size."""
+    table = np.stack((k := np.arange(1.0, size), 1.0 / k))
+    table.flags.writeable = False
+    return table
+
+
 def _norm(p: np.ndarray, inv: np.ndarray) -> float:
     """L2 norm on [0, 1] of a float64 polynomial, rounded up; ``inv[d]`` is
     1 / (d + 1) for d up to 2·len(p) − 2 at least.
@@ -333,10 +358,10 @@ def residual_bound(phi: PolySeries, s: PolySeries, load: float,
     """
     f, g = phi.coeffs, s.coeffs
     slope = add(f, forcing(boundary, load))
-    inv = 1.0 / np.arange(1.0, 2 * max(slope.size, g.size))
+    k, inv = _ramp(1 << (2 * max(slope.size, g.size) - 1).bit_length())
     f_y, g_y = _norm(f[1:], inv), _norm(g[1:], inv)
-    d_slope = _norm(slope[1:] * np.arange(1, slope.size), inv)
-    d_s = _norm(g[1:] * np.arange(1, g.size), inv)
+    d_slope = _norm(slope[1:] * k[: slope.size - 1], inv)
+    d_s = _norm(g[1:] * k[: g.size - 1], inv)
     n1 = d_slope + (abs(boundary.lam - 1.0) + 2.0) * f_y * g_y
     n2 = d_s + 0.5 * (abs(boundary.mu - 1.0) + 2.0) * f_y * f_y
     return n1 * n1 + n2 * n2
@@ -407,18 +432,20 @@ def run_passes(passes, boundary: BoundarySpec, config: dict,
     return RunReport(config=config, history=records, phi=phi, s=s, status=status)
 
 
-def solve(problem, phi0: np.ndarray, head: dict, watch=None, step=None) -> RunReport:
+def solve(problem, phi0: np.ndarray, head: dict, watch=None, step=None,
+          state: HomotopyState | None = None) -> RunReport:
     """Solve a problem from the float64 slope guess ``phi0`` with no membrane force.
 
     The load is ``problem.load``, prescribed, or solved for when the
     problem has none (a prescribed deflection); ``head`` leads the config
     echo.  ``step`` is the pass of an iterate mode (see
-    ``homotopy_passes``), and ``watch`` is ``run_passes``' per-pass call.
+    ``homotopy_passes``), ``watch`` is ``run_passes``' per-pass call, and
+    ``state`` (a batch's row, stepped already) replaces the fresh state.
     """
     mode, b = problem.mode, problem.boundary
     ext = problem.precision == "extended"
-    state = HomotopyState([phi0], [np.zeros(1)], problem.c1, problem.c2,
-                          getattr(problem, "load", None))
+    state = state or HomotopyState([phi0], [np.zeros(1)], problem.c1, problem.c2,
+                                   getattr(problem, "load", None))
     # extended: 16 KB numpy ufunc buffers, not 64 KB, for broadcast double-double products
     bufsize = np.setbufsize(2048 if ext else np.getbufsize())
     try:

@@ -101,15 +101,17 @@ def kernel_map(f: np.ndarray, w: float) -> np.ndarray:
     longer than its input, so a zero image would otherwise grow every order."""
     if not np.count_nonzero(f):
         return np.zeros(f.shape[:-1] + (1,))
+    if f.ndim == 3 and not all(map(np.count_nonzero, f)):  # an axis count paged in 192 KB
+        raise ValueError("a zero row in a nonzero batch: its image would be shorter")
     n = f.shape[-1]
     weights = [a[:n] for a in _weights(w, 1 << (n - 1).bit_length(), f.ndim == 2)]
     out = np.zeros(f.shape[:-1] + (n + 2,))
-    if f.ndim == 1:
+    if f.ndim != 2:
         lin, tail = weights
-        out[2:] = f * tail
+        out[..., 2:] = f * tail
         # all input monomials contribute to the linear term; fsum keeps the
         # accumulated rounding from drifting over long runs
-        out[1] += fsum(f * lin)
+        out[1 if f.ndim == 1 else np.s_[..., 1:2]] += fsum(f * lin)  # a sum per batch row
         return out
     lin_h, lin_l, tail_h, tail_l = weights
     out[:, 2:] = dd.mul(f[0], f[1], tail_h, tail_l)

@@ -18,6 +18,12 @@ parts, which is what the extended-precision solver mode runs on.  A grid
 evaluation reads cached power tables: one vector-matrix product in float64,
 a two-level compensated dot product (``_horner_dd``) in double-double.
 
+The precision of a coefficient array (last axis: coefficients) is its
+number of axes: a 2-D array is the (2, n) double-double stack of hi over
+lo; a 1-D array is a float64 series, and an (R, 1, n) one a float64 batch
+of R series, one per control, each run through the arithmetic of a series
+alone (one ``np.convolve``, one ``math.fsum`` per row) for the same bits.
+
 The arithmetic is written once, on coefficient arrays (``PolySeries.array``:
 float64 ``coeffs``, or the (2, n) stack of ``coeffs`` over ``lo``); the
 methods call the module functions that take them.  The homotopy
@@ -148,9 +154,10 @@ class PolySeries:
         flat = ys.ravel()
         out = np.empty(flat.size)
         powers = 1 << max(len(c) - 2, 0).bit_length()  # a power of two >= len(c) - 1
+        rows = (len(c) + 14) // 16 * 16  # in a table; the blocks are sized for powers
         for b in _blocks(flat.size, powers, _TABLE_SIZE):
             # np.dot on contiguous rows: ``@`` here paged in 68 KB more code
-            out[b] = c[0] + np.dot(c[1:], _power_table(flat[b], powers)[: len(c) - 1])
+            out[b] = c[0] + np.dot(c[1:], _power_table(flat[b], rows)[: len(c) - 1])
         return out.reshape(ys.shape)
 
     def _horner_dd(self, ys):
@@ -240,14 +247,13 @@ def _cached(tables: dict, key: bytes, rows: int, build) -> np.ndarray:
     return table
 
 
-def _power_table(ys: np.ndarray, powers: int) -> np.ndarray:
-    """Read-only table P[m, i] = ys[i]**(m + 1) with at least ``powers`` rows, a
-    power of two, so a series that grows on one grid rebuilds it about
-    log2(degree) times; the points are checked when it is built."""
+def _power_table(ys: np.ndarray, rows: int) -> np.ndarray:
+    """Read-only table P[m, i] = ys[i]**(m + 1) with at least ``rows`` rows; the
+    points are checked when it is built."""
     def build():
         _check_unit(ys)
-        return np.cumprod(np.broadcast_to(ys, (powers, ys.size)), axis=0)
-    return _cached(_TABLES, ys.tobytes(), powers, build)
+        return np.cumprod(np.broadcast_to(ys, (rows, ys.size)), axis=0)
+    return _cached(_TABLES, ys.tobytes(), rows, build)
 
 
 def drop_power_tables() -> None:
@@ -273,7 +279,7 @@ def _dd_power_table(ys: np.ndarray, runs: int) -> np.ndarray:
 
 
 def widen(a: np.ndarray) -> np.ndarray:
-    """A float64 coefficient array as double-double, with zero low parts."""
+    """A float64 series as double-double, with zero low parts."""
     return a if a.ndim == 2 else np.stack((a, np.zeros_like(a)))
 
 
@@ -288,39 +294,47 @@ def _pad(a: np.ndarray, n: int) -> np.ndarray:
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum of two series; the shorter is zero-padded, and a double-double operand widens the other."""
     n = max(a.shape[-1], b.shape[-1])
-    if a.ndim == b.ndim == 1:
+    if a.ndim != 2 != b.ndim:
         return _pad(a, n) + _pad(b, n)
     return np.array(dd.add(*_pad(widen(a), n), *_pad(widen(b), n)))
 
 
 def scale(a: np.ndarray, alpha: float) -> np.ndarray:
     """A series times a float."""
-    return a * alpha if a.ndim == 1 else np.array(dd.mul_d(*a, alpha))
+    return a * alpha if a.ndim != 2 else np.array(dd.mul_d(*a, alpha))
 
 
 def fsum(values: np.ndarray) -> float:
-    """``math.fsum`` of an array, or past inf - inf or the float range its numpy sum."""
+    """``math.fsum`` of an array (of each batch row), or past inf - inf or the float range numpy's."""
+    if values.ndim == 3:
+        return np.array([fsum(row) for row in values[:, 0]]).reshape(-1, 1, 1)
     try:
         return math.fsum(values.tolist())
     except (ValueError, OverflowError):
         return float(np.sum(values))
 
 
+def _finite_lead(a: np.ndarray, n: int) -> bool:
+    """Whether a finite series, or row of a batch, has a nonzero among its first n
+    coefficients (in a non-finite one it came from an overflow, not a bug)."""
+    return any(np.count_nonzero(r[..., :n]) and np.isfinite(r).all()
+               for r in (a if a.ndim == 3 else [a]))
+
+
 def over_y_squared(a: np.ndarray) -> np.ndarray:
-    """Remove an exact ``y**2`` factor (ValueError if there is none; a non-finite
-    array passes, as its nonzero came from an overflow, inf * 0, not a bug)."""
-    if np.count_nonzero(a[..., :2]) and np.isfinite(a).all():
+    """Remove an exact ``y**2`` factor (ValueError if there is none; see ``_finite_lead``)."""
+    if np.count_nonzero(a[..., :2]) and _finite_lead(a, 2):
         raise ValueError("series has no y**2 factor (valuation < 2)")
     return a[..., 2:]
 
 
 def weighted_integral(a: np.ndarray) -> float:
     """The integral of f(y)/y over [0, 1]: the sum of a[m] / m (a[0] must vanish)."""
-    if np.count_nonzero(a[..., 0]) and np.isfinite(a).all():
+    if np.count_nonzero(a[..., 0]) and _finite_lead(a, 1):
         raise ValueError("integrand f(y)/y singular at 0 (nonzero constant term)")
     m = np.arange(1, a.shape[-1])
-    if a.ndim == 1:
-        return fsum(a[1:] / m)
+    if a.ndim != 2:
+        return fsum(a[..., 1:] / m)  # a batch's rows are summed one by one
     h, l = dd.div_d(a[0, 1:], a[1, 1:], m.astype(float))
     return dd.to_float(*dd.reduce_rows(h, l))
 
@@ -345,6 +359,9 @@ def convolve(f: np.ndarray, g: np.ndarray, max_degree: int | None = None) -> np.
     if f.ndim == g.ndim == 1:
         out = np.convolve(f, g)
         return out if max_degree is None else out[: max_degree + 1]
+    if f.ndim != 2 != g.ndim:  # a batch: one np.convolve per row
+        out = np.array(list(map(np.convolve, f[:, 0], g[:, 0])))[:, None]
+        return out if max_degree is None else out[..., : max_degree + 1]
     f, g = widen(f), widen(g)
     n, m = f.shape[1], g.shape[1]
     size = n + m - 1 if max_degree is None else min(n + m - 1, max_degree + 1)

@@ -38,6 +38,23 @@ def test_malformed_number():
     assert run_cli(["solve-q", "--Q", "five"]) == 1
 
 
+@pytest.mark.parametrize("argv, plain", [
+    (["solve-q", "--Q", "-1e0", "--c0", "-0.5", "--order", "3"],
+     ["solve-q", "--Q", "-1", "--c0", "-0.5", "--order", "3"]),
+    (["solve-q", "--Q=-1e0", "--c0", "-5E-1", "--order", "3"],
+     ["solve-q", "--Q", "-1", "--c0", "-0.5", "--order", "3"]),
+    (["sweep-c0", "--Q", "5", "--c0-min", "-5e-1", "--c0-max", "-0.3", "--c0-step", "0.1"],
+     ["sweep-c0", "--Q", "5", "--c0-min", "-0.5", "--c0-max", "-0.3", "--c0-step", "0.1"]),
+], ids=["solve", "solve-equals", "sweep"])
+def test_negative_value_in_exponent_notation(argv, plain, capsys):
+    # a negative number in exponent notation is a value, as its plain spelling is
+    runs = []
+    for line in (argv, plain):
+        code = run_cli(line + (["--deterministic"] if line[0] == "solve-q" else []))
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 def test_unknown_flag():
     assert run_cli(["solve-q", "--Q", "5", "--frobnicate"]) == 1
 

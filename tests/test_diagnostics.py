@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
+from vkplate import diagnostics, ham
 from vkplate.config import IterateMode, SeriesMode
-from vkplate.diagnostics import compare_orders, solve_problem, sweep_c0
+from vkplate.diagnostics import _stepped_chunk, compare_orders, solve_problem, sweep_c0
 from vkplate.given_deflection import GivenDeflectionProblem
 from vkplate.given_load import GivenLoadProblem
 from vkplate.kernels import BoundarySpec
@@ -54,19 +55,72 @@ def test_divergent_point_recorded_not_raised():
     assert res.best is None or math.isfinite(res.best.err)
 
 
-@pytest.mark.parametrize("problem, diverged", [
-    (GivenLoadProblem.with_c0(5.0, -0.5, SeriesMode(20), boundary=BoundarySpec("hinged")), 17),
-    (GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(20),
-                                    boundary=BoundarySpec("simple")), 8),
-], ids=["load", "deflection"])
-def test_sweep_matches_full_runs(problem, diverged):
-    # the sweep scores only what the residual bound cannot clear, yet every
-    # point's err (bit for bit) and status are those of a run scoring every order
-    grid = [round(-1.9 + 0.1 * i, 10) for i in range(19)]
+_HINGED_LOAD = GivenLoadProblem.with_c0(5.0, -0.5, SeriesMode(20),
+                                       boundary=BoundarySpec("hinged"))
+_SIMPLE_DEFLECTION = GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(20),
+                                                    boundary=BoundarySpec("simple"))
+_GRID = [round(-1.9 + 0.1 * i, 10) for i in range(19)]
+# -1.9 diverges, mid-chunk among converging points, for both problems
+_MIXED = [-0.2, -0.1, -0.15, -1.9, -0.05, -0.22, -0.12, -0.07, -0.2]
+
+
+@pytest.mark.parametrize("problem, grid, diverged", [
+    (_HINGED_LOAD, _GRID, 17),
+    (_SIMPLE_DEFLECTION, _GRID, 8),
+    (_HINGED_LOAD, [-0.5], 1),
+    (_SIMPLE_DEFLECTION, [-0.5], 0),
+    (_HINGED_LOAD, _GRID[:6], 6),
+    (_HINGED_LOAD, _MIXED, 1),
+    (_SIMPLE_DEFLECTION, _MIXED[::-1], 1),
+    (replace(_SIMPLE_DEFLECTION, mode=SeriesMode(8), precision="extended"), _GRID[:9], 0),
+    (replace(_HINGED_LOAD, mode=IterateMode(3, 12, max_iter=6)), _GRID[10:], 5),
+], ids=["load", "deflection", "one-point-load", "one-point-deflection",
+        "all-diverged-chunk", "diverged-mid-chunk", "deflection-mixed", "extended",
+        "iterate"])
+def test_sweep_matches_full_runs(problem, grid, diverged):
+    # the sweep scores only what the residual bound cannot clear and steps a
+    # float64 series in chunks, yet every point's err (bit for bit) and status
+    # are those of its control's own run scoring every order
     points = sweep_c0(problem, grid).points
     full = [solve_problem(replace(problem, c1=c0, c2=c0)) for c0 in grid]
-    assert [(p.err, p.status) for p in points] == [(r.err, r.status) for r in full]
+    assert [(p.c0, p.err, p.status) for p in points] == [
+        (c0, r.err, r.status) for c0, r in zip(grid, full)]
     assert sum(p.status == "diverged" for p in points) == diverged
+
+
+def test_sweep_chunks_cover_the_grids(monkeypatch):
+    # the 19-point grid ends in a partial chunk, the 6-point one is one full chunk,
+    # and the 9-point ones hold their diverged point mid-chunk and on its edge
+    size = diagnostics._CHUNK_DOUBLES // (2 * 21 * 22)
+    assert size == 6 and len(_GRID) % size and len(_GRID[:6]) == size
+    assert 0 < _MIXED.index(-1.9) < size - 1 and _MIXED[::-1].index(-1.9) == size - 1
+    steps = []
+    real = ham.deformation_step
+    monkeypatch.setattr(ham, "deformation_step",
+                        lambda *args: steps.append(args[1]) or real(*args))
+    # a float64 series takes one step per order and chunk
+    sweep_c0(_HINGED_LOAD, _GRID[:8])
+    assert steps == 2 * list(range(1, 21))
+    # an extended or iterate sweep steps each control as its own solve does
+    for problem in (replace(_SIMPLE_DEFLECTION, mode=SeriesMode(8), precision="extended"),
+                    replace(_HINGED_LOAD, mode=IterateMode(3, 12, max_iter=6))):
+        steps.clear()
+        sweep_c0(problem, _GRID[10:13])
+        swept = list(steps)
+        steps.clear()
+        for c0 in _GRID[10:13]:
+            solve_problem(replace(problem, c1=c0, c2=c0))
+        assert swept == steps and len(steps) > 3
+
+
+def test_sweep_steps_alone_what_a_batch_cannot_match():
+    # c0 = -1 zeroes a load problem's first slope term, so its kernel images are
+    # shorter than its neighbours' (the load grid above holds it); an overflow,
+    # which a control alone shows as a warning, raises in a batch
+    assert _stepped_chunk(_HINGED_LOAD, [-1.1, -0.9]) is not None
+    assert _stepped_chunk(_HINGED_LOAD, [-1.1, -1.0]) is None
+    huge = GivenLoadProblem.with_c0(1e300, -0.5, SeriesMode(3))
+    assert _stepped_chunk(huge, [-0.5, -0.3]) is None
 
 
 def test_benchmark_sweep_scores_at_most_two_orders_per_point(residual_calls):

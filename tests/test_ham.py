@@ -449,30 +449,54 @@ def _assert_terms_equal(state, ref):
     assert np.array_equal(state.q_terms, ref.q_terms)
 
 
-@pytest.mark.parametrize("precision", ["double", "extended"])
+#: Controls of the batched state: one row per control.
+_BATCH = (-0.4, -0.9, -1.6)
+
+
+def _reference_states(mode, precision, boundary):
+    """The core's state and the oracle's states: one, or with precision "batch"
+    a float64 batch with one row per control of ``_BATCH``."""
+    if precision != "batch":
+        state, ref = _reference_pair(mode, precision, boundary)
+        return state, [ref]
+    pairs = [_reference_pair(mode, "double", boundary, c0) for c0 in _BATCH]
+    c = np.array(_BATCH).reshape(-1, 1, 1)
+    phi0 = np.array([state.phi_terms[0] for state, _ in pairs])[:, None]
+    return (HomotopyState([phi0], [np.zeros_like(c)], c, c, pairs[0][0].load),
+            [ref for _, ref in pairs])
+
+
+def _rows(state):
+    return [state.row(i) for i in range(len(_BATCH))] if np.ndim(state.c1) else [state]
+
+
+@pytest.mark.parametrize("precision", ["double", "extended", "batch"])
 @pytest.mark.parametrize("kind", BOUNDARY_KINDS)
 @pytest.mark.parametrize("mode", ["load", "deflection"])
 @pytest.mark.parametrize("truncation", [None, 6])
 def test_array_core_matches_reference_recurrence(truncation, mode, kind, precision):
     # six orders: at truncation 6 the products outgrow the cap within
-    # them, so both the capped convolution and the cut act
+    # them, so both the capped convolution and the cut act; each row of a
+    # batch is the oracle run at its own control
     boundary = BoundarySpec(kind)
-    state, ref = _reference_pair(mode, precision, boundary)
+    state, refs = _reference_states(mode, precision, boundary)
     for k in range(1, 7):
         deformation_step(state, k, boundary, truncation)
-        oracles.deformation_step(ref, k, boundary, truncation)
-        _assert_terms_equal(state, ref)
+        for row, ref in zip(_rows(state), refs, strict=True):
+            oracles.deformation_step(ref, k, boundary, truncation)
+            _assert_terms_equal(row, ref)
     if truncation is not None:
-        assert max(len(t.coeffs) for t in ref.phi_terms) == truncation + 1
+        assert max(len(t.coeffs) for t in refs[0].phi_terms) == truncation + 1
     # a pass collapses into the in-order sums of its terms
-    state, ref = _reference_pair(mode, precision, boundary)
+    state, refs = _reference_states(mode, precision, boundary)
     fresh = iterate_pass(state, 3, truncation, boundary)
-    for k in range(1, 4):
-        oracles.deformation_step(ref, k, boundary, truncation)
-    want_phi = reduce(PolySeries.__add__, ref.phi_terms)
-    want_s = reduce(PolySeries.__add__, ref.s_terms)
-    assert np.array_equal(fresh.phi_terms[0], want_phi.array)
-    assert np.array_equal(fresh.s_terms[0], want_s.array)
+    for row, ref in zip(_rows(fresh), refs, strict=True):
+        for k in range(1, 4):
+            oracles.deformation_step(ref, k, boundary, truncation)
+        want_phi = reduce(PolySeries.__add__, ref.phi_terms)
+        want_s = reduce(PolySeries.__add__, ref.s_terms)
+        assert np.array_equal(row.phi_terms[0], want_phi.array)
+        assert np.array_equal(row.s_terms[0], want_s.array)
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])

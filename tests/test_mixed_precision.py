@@ -15,7 +15,7 @@ from vkplate.diagnostics import solve_problem
 from vkplate.given_deflection import GivenDeflectionProblem, initial_slope
 from vkplate.given_load import GivenLoadProblem
 from vkplate.kernels import BoundarySpec
-from vkplate.polyseries import widen
+from vkplate.polyseries import over_y_squared, weighted_integral, widen
 
 _EXT = IterateMode(order=5, truncation=100, tol=1e-24)
 
@@ -95,3 +95,11 @@ def test_a_finite_structural_fault_still_raises():
     mode, b = IterateMode(max_iter=2), BoundarySpec()
     with pytest.raises(ValueError, match=r"y\*\*2 factor"):
         ham.run_passes(ham.homotopy_passes(state, mode, b), b, {}, mode)
+    # and so does a finite row of a batch beside an overflowed one
+    batch = np.array([[[np.inf, 1.0, 2.0, 3.0]], [[1.0, 0.5, 0.0, 1.0]]])
+    with pytest.raises(ValueError, match=r"y\*\*2 factor"):
+        over_y_squared(batch)
+    with pytest.raises(ValueError, match="singular"):
+        weighted_integral(batch)
+    assert np.array_equal(over_y_squared(batch[:1]), [[[2.0, 3.0]]])
+    assert weighted_integral(batch[:1]) == 1.0 + 1.0 + 1.0

@@ -58,6 +58,13 @@ COMMANDS = (
     " --c0-step 0.1",
     "sweep-c0 --a 5 --sweep-order 10 --precision extended --c0-min -0.9 --c0-max -0.1"
     " --c0-step 0.2",
+    # a sweep stepped in chunks of 6 controls: the first chunk diverges up to
+    # its last point (-0.3) and the grid ends in a partial chunk of 5
+    "sweep-c0 --Q 5 --sweep-order 20 --boundary hinged --c0-min -0.55 --c0-max -0.05"
+    " --c0-step 0.05",
+    # chunks of 3 whose diverged rows are stepped past their first diverged
+    # order: a floating-point warning added or lost shows in stderr
+    "sweep-c0 --Q 5 --sweep-order 30 --boundary hinged --c0-min -1.9 --c0-max -0.1",
     # series, iterate and extended solves, as CSV and as JSON
     "solve-q --Q 5" + _D,
     "solve-q --Q 5 --format json" + _D,
