@@ -23,7 +23,9 @@ raw stepping (``homotopy_passes``):
 * an iterated scheme (``iterate_pass``): run a small number of orders
   with all right-hand sides truncated to a fixed degree, collapse the
   partial sums into a fresh zeroth-order state, and repeat until the
-  residual is small.
+  residual is small.  Each pass refines the last, so a double-double
+  pass steps only its first order, which carries the residual, in
+  double-double, and its correction orders in float64.
 
 Each order also appends one term of the load expansion: a prescribed
 load at order 1 and zero after it, or, with a prescribed center
@@ -203,15 +205,28 @@ def iterate_pass(state: HomotopyState, order: int, truncation: int | None,
                  boundary: BoundarySpec) -> HomotopyState:
     """Run one deformation pass and collapse it into a fresh state.
 
-    The input state is extended in place through the requested order,
-    so its ``q`` is the load of the completed pass; the returned state
-    has the partial sums as its new zeroth-order terms.
+    The input state's load terms are extended in place through the
+    requested order, so its ``q`` is the load of the completed pass; the
+    returned state has the partial sums as its new zeroth-order terms.
+
+    A double-double state steps only order 1 in double-double: it alone
+    carries the current residual.  Orders 2..order are corrections of that
+    residual's size, as in mixed-precision iterative refinement, and run on
+    the float64 high parts of the terms, appending to the same load terms.
+    The collapse adds phi_0 + phi_1 (double-double) and the float64 orders
+    in order.  Float64 states and batches run every order as they are.
     """
     if order < 1:
         raise OrderingError(f"pass order must be >= 1, got {order}")
-    for k in range(1, order + 1):
-        deformation_step(state, k, boundary, truncation)
-    return HomotopyState([reduce(add, state.phi_terms)], [reduce(add, state.s_terms)],
+    deformation_step(state, 1, boundary, truncation)
+    rest = state
+    if state.phi_terms[0].ndim == 2:
+        rest = HomotopyState([t[0] for t in state.phi_terms], [t[0] for t in state.s_terms],
+                             state.c1, state.c2, state.load, state.q_terms)
+    for k in range(2, order + 1):
+        deformation_step(rest, k, boundary, truncation)
+    return HomotopyState([reduce(add, state.phi_terms[:2] + rest.phi_terms[2:])],
+                         [reduce(add, state.s_terms[:2] + rest.s_terms[2:])],
                          state.c1, state.c2, state.load)
 
 
@@ -230,9 +245,11 @@ def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=Non
     the summed load expansion so far.  ``phi`` and ``s`` are
     ``PolySeries``; the state holds arrays.
 
-    ``extended`` widens the state to double-double: a series at once, an
-    iterate run once a pass scores err <= 2**-53 * m**2 (sent back), m the
-    pair's largest |coefficient|, so its rounding is sqrt(2**-53) below sqrt(err).
+    ``extended`` widens the state to double-double: a series at once, for
+    all its orders, an iterate run once a pass scores err <= 2**-53 * m**2
+    (sent back), m the pair's largest |coefficient|, so its rounding is
+    sqrt(2**-53) below sqrt(err).  From then on ``iterate_pass`` steps each
+    pass's first order in double-double and its other orders in float64.
     """
     series = PolySeries.from_array
     if isinstance(mode, IterateMode):

@@ -137,6 +137,7 @@ def forcing(boundary: BoundarySpec, load: float = 1.0, extended: bool = False) -
     return scale(widen(unit) if extended else unit, load)
 
 
+@functools.lru_cache(maxsize=16)
 def forcing_integral(boundary: BoundarySpec) -> float:
-    """Weighted integral of the unit-load image, (2 lam + 1) / 4."""
+    """Weighted integral of the unit-load image, (2 lam + 1) / 4, computed once per boundary."""
     return weighted_integral(forcing(boundary))

@@ -3,10 +3,10 @@
 ``kernel_value`` is the pointwise kernel the closed forms are checked
 against.  The rest are reference recurrences written on ``PolySeries``
 operations, as the solvers ran them before they moved onto plain
-coefficient arrays: the homotopy deformation step and staggered pass,
-term by term, filling a ``HomotopyState`` whose terms are ``PolySeries``,
-and one sweep of the interpolation baseline.  The array code of
-``vkplate.ham`` must reproduce the first two bit for bit.
+coefficient arrays: the homotopy deformation step, the iterate pass and
+the staggered pass, term by term, filling a ``HomotopyState`` whose terms
+are ``PolySeries``, and one sweep of the interpolation baseline.  The
+array code of ``vkplate.ham`` must reproduce the first three bit for bit.
 
 The baseline sweep is the paper's independent spelling of the relaxed
 fixed-point iteration.  ``baseline_sweeps`` runs it beside
@@ -14,6 +14,8 @@ fixed-point iteration.  ``baseline_sweeps`` runs it beside
 solver runs on; the two differ only in rounding, and ``grid_gap`` measures
 by how much.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -114,6 +116,27 @@ def deformation_step(state, k, boundary, truncation=None):
     state.phi_terms.append(phi_k)
     state.s_terms.append(s_k)
     return phi_k, s_k
+
+
+def iterate_pass(state, order, boundary, truncation=None):
+    """An iterate pass on ``PolySeries`` terms, collapsed into a fresh state.
+
+    A double-double state steps order 1 in double-double and orders
+    2..order on the float64 high parts of its terms, appending to the same
+    load terms; the collapse adds phi_0, phi_1 and the float64 orders in
+    order.  A float64 state steps every order as it is.
+    """
+    deformation_step(state, 1, boundary, truncation)
+    rest = state
+    if state.phi_terms[0].extended:
+        rest = HomotopyState([PolySeries(t.coeffs) for t in state.phi_terms],
+                             [PolySeries(t.coeffs) for t in state.s_terms],
+                             state.c1, state.c2, state.load, state.q_terms)
+    for k in range(2, order + 1):
+        deformation_step(rest, k, boundary, truncation)
+    return HomotopyState([reduce(PolySeries.__add__, state.phi_terms[:2] + rest.phi_terms[2:])],
+                         [reduce(PolySeries.__add__, state.s_terms[:2] + rest.s_terms[2:])],
+                         state.c1, state.c2, state.load)
 
 
 def staggered_pass(state, boundary, truncation=None):

@@ -487,16 +487,15 @@ def test_array_core_matches_reference_recurrence(truncation, mode, kind, precisi
             _assert_terms_equal(row, ref)
     if truncation is not None:
         assert max(len(t.coeffs) for t in refs[0].phi_terms) == truncation + 1
-    # a pass collapses into the in-order sums of its terms
+    # a pass collapses into the in-order sums of its terms, orders 2.. of a
+    # double-double pass in float64
     state, refs = _reference_states(mode, precision, boundary)
     fresh = iterate_pass(state, 3, truncation, boundary)
-    for row, ref in zip(_rows(fresh), refs, strict=True):
-        for k in range(1, 4):
-            oracles.deformation_step(ref, k, boundary, truncation)
-        want_phi = reduce(PolySeries.__add__, ref.phi_terms)
-        want_s = reduce(PolySeries.__add__, ref.s_terms)
-        assert np.array_equal(row.phi_terms[0], want_phi.array)
-        assert np.array_equal(row.s_terms[0], want_s.array)
+    for row, stepped, ref in zip(_rows(fresh), _rows(state), refs, strict=True):
+        want = oracles.iterate_pass(ref, 3, boundary, truncation)
+        assert np.array_equal(row.phi_terms[0], want.phi_terms[0].array)
+        assert np.array_equal(row.s_terms[0], want.s_terms[0].array)
+        assert np.array_equal(stepped.q_terms, ref.q_terms)
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])

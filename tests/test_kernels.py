@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vkplate.config import SeriesMode
+from vkplate.diagnostics import solve_problem
+from vkplate.given_deflection import GivenDeflectionProblem
 from vkplate.kernels import (
     BOUNDARY_KINDS,
     BoundarySpec,
@@ -20,7 +23,7 @@ from vkplate.kernels import (
     forcing_integral,
     kernel_map,
 )
-from vkplate.polyseries import PolySeries, over_y_squared, widen
+from vkplate.polyseries import PolySeries, over_y_squared, weighted_integral, widen
 
 from oracles import kernel_value
 
@@ -132,6 +135,17 @@ def test_forcing_integral_closed_form_and_quadrature():
         by_quad, _ = quad(lambda y: lf.evaluate(y) / y if y > 0 else lf.coeffs[1],
                           0.0, 1.0)
         assert math.isclose(forcing_integral(b), by_quad, rel_tol=1e-12)
+
+
+def test_forcing_integral_is_computed_once_per_boundary():
+    # a deflection solve divides by it at every order; each boundary
+    # computes it once, with the bits of the weighted integral
+    forcing_integral.cache_clear()
+    for b in _ALL_BOUNDARIES:
+        solve_problem(GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(4), boundary=b))
+        assert forcing_integral(b) == weighted_integral(forcing(b))
+    info = forcing_integral.cache_info()
+    assert (info.misses, info.hits) == (4, 4 * 4)
 
 
 def test_zero_input_zero_image():

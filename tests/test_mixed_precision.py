@@ -1,10 +1,13 @@
 """An extended iterate run takes float64 passes until its residual nears
-float64's reach, then double-double ones (``ham.homotopy_passes``); and a
-pass whose series overflow ends the run as diverged, with its report."""
+float64's reach (``ham.homotopy_passes``), then passes whose first order
+is double-double and whose correction orders are float64
+(``ham.iterate_pass``); and a pass whose series overflow ends the run as
+diverged, with its report."""
 
 import contextlib
 import io
 from dataclasses import astuple
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from vkplate.diagnostics import solve_problem
 from vkplate.given_deflection import GivenDeflectionProblem, initial_slope
 from vkplate.given_load import GivenLoadProblem
 from vkplate.kernels import BoundarySpec
-from vkplate.polyseries import over_y_squared, weighted_integral, widen
+from vkplate.polyseries import add, over_y_squared, weighted_integral, widen
 
 _EXT = IterateMode(order=5, truncation=100, tol=1e-24)
 
@@ -54,13 +57,24 @@ def test_an_extended_report_is_double_double(problem):
     assert rep.phi.extended and rep.s.extended
 
 
+def _double_double_pass(state, order, truncation, boundary):
+    """An iterate pass that steps all its orders in the state's precision."""
+    for k in range(1, order + 1):
+        ham.deformation_step(state, k, boundary, truncation)
+    return ham.HomotopyState([reduce(add, state.phi_terms)], [reduce(add, state.s_terms)],
+                             state.c1, state.c2, state.load)
+
+
 def test_switched_run_agrees_with_an_all_double_double_run():
+    # the reference runs every pass from a double-double start in
+    # double-double, all five orders of it
     problem = GivenDeflectionProblem.with_c0(10.0, -0.2, _EXT, precision="extended")
     rep = solve_problem(problem)
     b = problem.boundary
     state = ham.HomotopyState([widen(initial_slope(10.0, b))], [widen(np.zeros(1))],
                               problem.c1, problem.c2)
-    ref = ham.run_passes(ham.homotopy_passes(state, _EXT, b), b, {}, _EXT)
+    ref = ham.run_passes(ham.homotopy_passes(state, _EXT, b, _double_double_pass), b, {},
+                         _EXT)
     assert ref.phi.extended and len(ref.history) == len(rep.history) == 26
     last_change = abs(rep.history[-1].q - rep.history[-2].q)
     assert 0.0 < abs(rep.q - ref.q) <= last_change

@@ -9,23 +9,39 @@ every file the command wrote there, prints one line per command line, and
 exits 1 when any of them differs.  ``--deterministic`` is given to every
 command that accepts it, so wall-clock columns read 0.0.
 
-A differing command line is explained below its verdict: the first
-differing line of stdout or stderr from each tree, both exit codes, or the
-names of the differing files.  It is then run once more on both trees and
-labelled "also on rerun" or "not on rerun", which tells a one-off from a
-real change; either way it counts as differing.
+A warning line in stderr names the file and line number of the code that
+warned (``/path/to/ham.py:336: RuntimeWarning: ...``); both are dropped
+before the comparison, so a run that warns the same way in both trees
+compares equal.
+
+A differing command line is explained below its verdict: for stdout,
+stderr and each differing file, the first differing line from each tree
+and the largest relative change |ours - parent| / |parent| of the numbers
+on the differing lines (or why it has none: lines added or lost, or text
+besides numbers that differs); and both exit codes if they differ.  It is
+then run once more on both trees and labelled "also on rerun" or "not on
+rerun", which tells a one-off from a real change; either way it counts as
+differing.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: The path and line number that lead a warning line: ``/path/to/ham.py:336: `` before
+#: ``RuntimeWarning: ...``; the substitution keeps ``ham.py: ``.
+_WARNING_SOURCE = re.compile(rb"^\S*?([^/\\\s]+):\d+: (?=\w*Warning: )", re.M)
+#: A decimal number, in exponent notation or not, or inf or nan.
+_NUMBER = re.compile(rb"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
 
 _D = " --deterministic"
 _EXT = " --precision extended"
@@ -65,6 +81,9 @@ COMMANDS = (
     # chunks of 3 whose diverged rows are stepped past their first diverged
     # order: a floating-point warning added or lost shows in stderr
     "sweep-c0 --Q 5 --sweep-order 30 --boundary hinged --c0-min -1.9 --c0-max -0.1",
+    # an overflowing sweep: its chunks fall back to one-control runs, and
+    # numpy's overflow warnings must come in the same order
+    "sweep-c0 --Q 1e300 --sweep-order 3 --c0-min -0.9 --c0-max -0.1 --c0-step 0.2",
     # series, iterate and extended solves, as CSV and as JSON
     "solve-q --Q 5" + _D,
     "solve-q --Q 5 --format json" + _D,
@@ -134,7 +153,8 @@ def run(tree: Path, command: str) -> dict:
                               cwd=work, env=env, capture_output=True)
         files = {str(p.relative_to(work)): p.read_bytes()
                  for p in sorted(Path(work).rglob("*")) if p.is_file()}
-    return {"stdout": proc.stdout, "stderr": proc.stderr, "exit code": proc.returncode,
+    stderr = _WARNING_SOURCE.sub(rb"\1: ", proc.stderr)
+    return {"stdout": proc.stdout, "stderr": stderr, "exit code": proc.returncode,
             "files": files}
 
 
@@ -143,23 +163,50 @@ def _first_line(text: bytes, i: int) -> str:
     return repr(line[0].decode(errors="replace")[:200]) if line else "(no line)"
 
 
+def _relative(ours: float, theirs: float) -> float:
+    if ours == theirs or ours != ours and theirs != theirs:  # equal, or both nan
+        return 0.0
+    return abs(ours - theirs) / abs(theirs) if theirs else math.inf
+
+
+def largest_change(a: bytes, b: bytes) -> str:
+    """The largest relative change of the numbers on the lines of ``a`` (this tree)
+    that differ from those of ``b`` (the parent), and the line it is on; or why
+    the two differ in more than numbers."""
+    ours, theirs = a.splitlines(), b.splitlines()
+    if len(ours) != len(theirs):
+        return f"{len(ours)} lines against {len(theirs)}"
+    worst, where, moved = 0.0, 0, 0
+    for i, (x, y) in enumerate(zip(ours, theirs)):
+        if x == y:
+            continue
+        if _NUMBER.sub(b"#", x) != _NUMBER.sub(b"#", y):
+            return f"line {i + 1} differs in more than its numbers"
+        moved += 1
+        for u, v in zip(_NUMBER.findall(x), _NUMBER.findall(y)):
+            change = _relative(float(u), float(v))
+            if change > worst or not where:
+                worst, where = change, i + 1
+    return f"{moved} lines differ, largest relative change {worst:.2g} (line {where})"
+
+
 def differences(ours: dict, theirs: dict) -> list[str]:
     """One line per part of two results that differs, saying how."""
+    parts = [(key, ours[key], theirs[key]) for key in ("stdout", "stderr")]
+    parts += [(f"file {name}", ours["files"].get(name), theirs["files"].get(name))
+              for name in sorted(ours["files"].keys() | theirs["files"].keys())]
     out = []
-    for key in ("stdout", "stderr"):
-        a, b = ours[key], theirs[key]
-        if a != b:
+    for key, a, b in parts:
+        if a is None or b is None:
+            out.append(f"{key}: only {'in the parent' if a is None else 'in this tree'}")
+        elif a != b:
             pairs = zip(a.splitlines(keepends=True), b.splitlines(keepends=True))
             i = next((i for i, (x, y) in enumerate(pairs) if x != y),
                      min(len(a.splitlines()), len(b.splitlines())))
             out.append(f"{key} line {i + 1}: this tree {_first_line(a, i)}, "
-                       f"parent {_first_line(b, i)}")
+                       f"parent {_first_line(b, i)}; {largest_change(a, b)}")
     if ours["exit code"] != theirs["exit code"]:
         out.append(f"exit code: this tree {ours['exit code']}, parent {theirs['exit code']}")
-    files = sorted(name for name in ours["files"].keys() | theirs["files"].keys()
-                   if ours["files"].get(name) != theirs["files"].get(name))
-    if files:
-        out.append(f"files: {', '.join(files)}")
     return out
 
 
