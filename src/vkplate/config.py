@@ -55,8 +55,9 @@ class IterateMode:
     ``tol``         stop once the mean-square residual falls below this
     ``max_iter``    pass budget
 
-    A run that sets no new residual minimum for ``STALL_PASSES`` passes
-    stops there as stalled.
+    A run that sets no new residual minimum (one below the best by more
+    than a relative 2**-20) for ``STALL_PASSES`` passes stops there as
+    stalled.
     """
 
     order: int = 5

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from vkplate import diagnostics, ham
@@ -94,13 +95,29 @@ def test_sweep_chunks_cover_the_grids(monkeypatch):
     size = diagnostics._CHUNK_DOUBLES // (2 * 21 * 22)
     assert size == 6 and len(_GRID) % size and len(_GRID[:6]) == size
     assert 0 < _MIXED.index(-1.9) < size - 1 and _MIXED[::-1].index(-1.9) == size - 1
-    steps = []
+    steps, controls = [], []
     real = ham.deformation_step
-    monkeypatch.setattr(ham, "deformation_step",
-                        lambda *args: steps.append(args[1]) or real(*args))
+
+    def step(*args):
+        steps.append(args[1])
+        controls.append(tuple(np.ravel(args[0].c1).tolist()))
+        return real(*args)
+
+    monkeypatch.setattr(ham, "deformation_step", step)
     # a float64 series takes one step per order and chunk
     sweep_c0(_HINGED_LOAD, _GRID[:8])
     assert steps == 2 * list(range(1, 21))
+    # a chunk that raises is stepped in halves, down to single controls: the
+    # one holding -1.0 steps its other controls through all 20 orders in
+    # batches of 3 and 2, and -1.0 in its own solve (which diverges)
+    chunk = _GRID[6:12]
+    assert chunk[3] == -1.0 and _stepped_chunk(_HINGED_LOAD, chunk) is None
+    steps.clear()
+    controls.clear()
+    sweep_c0(_HINGED_LOAD, chunk)
+    assert [c for c, k in zip(controls, steps) if k == 20] == [tuple(chunk[:3]),
+                                                              tuple(chunk[4:])]
+    assert {c for c in controls if -1.0 in c} == {tuple(chunk), tuple(chunk[3:]), (-1.0,)}
     # an extended or iterate sweep steps each control as its own solve does
     for problem in (replace(_SIMPLE_DEFLECTION, mode=SeriesMode(8), precision="extended"),
                     replace(_HINGED_LOAD, mode=IterateMode(3, 12, max_iter=6))):

@@ -1,11 +1,13 @@
 """An extended iterate run takes float64 passes until its residual nears
 float64's reach (``ham.homotopy_passes``), then passes whose first order
 is double-double and whose correction orders are float64
-(``ham.iterate_pass``); and a pass whose series overflow ends the run as
-diverged, with its report."""
+(``ham.iterate_pass``); a double-double pair whose residual lies far above
+float64's rounding is scored in float64 (``ham.residual_error``); and a
+pass whose series overflow ends the run as diverged, with its report."""
 
 import contextlib
 import io
+import math
 from dataclasses import astuple
 from functools import reduce
 
@@ -15,10 +17,10 @@ import pytest
 from vkplate import cli, ham
 from vkplate.config import IterateMode, SeriesMode
 from vkplate.diagnostics import solve_problem
-from vkplate.given_deflection import GivenDeflectionProblem, initial_slope
+from vkplate.given_deflection import GivenDeflectionProblem, empirical_c0, initial_slope
 from vkplate.given_load import GivenLoadProblem
 from vkplate.kernels import BoundarySpec
-from vkplate.polyseries import add, over_y_squared, weighted_integral, widen
+from vkplate.polyseries import PolySeries, add, over_y_squared, weighted_integral, widen
 
 _EXT = IterateMode(order=5, truncation=100, tol=1e-24)
 
@@ -78,6 +80,55 @@ def test_switched_run_agrees_with_an_all_double_double_run():
     assert ref.phi.extended and len(ref.history) == len(rep.history) == 26
     last_change = abs(rep.history[-1].q - rep.history[-2].q)
     assert 0.0 < abs(rep.q - ref.q) <= last_change
+
+
+def _scores(pair):
+    """The float64 and the double-double score of a double-double pair, and
+    the rule's threshold 2**-26 * M**2, M = max(m, m**2)."""
+    phi, s, q, b = pair
+    m = max(abs(np.concatenate((phi.coeffs, s.coeffs))))
+    plain = ham._grid_error(PolySeries(phi.coeffs), PolySeries(s.coeffs), q, b)
+    return plain, ham._grid_error(*pair), 2.0**-26 * max(m, m * m) ** 2
+
+
+@pytest.mark.parametrize("problem, scored, above", [
+    # the benchmark's series; gaps up to 1.0e-13
+    (GivenLoadProblem.with_c0(5.0, -0.35, SeriesMode(30), precision="extended"), 31, 31),
+    # `solve-a --a 5 --order 20`; up to 3.6e-13
+    (GivenDeflectionProblem.with_c0(5.0, empirical_c0(5.0), SeriesMode(20),
+                                    precision="extended"), 20, 10),
+    # up to 1.2e-13, with m < 1
+    (GivenLoadProblem.with_c0(1.0, -0.9, SeriesMode(60), precision="extended"), 61, 4),
+    # a diverging series, m up to 2.6e4: a threshold of 2**-26 * m**2 scored
+    # its last pair in float64, 4.5e-9 off the double-double score
+    (GivenDeflectionProblem.with_c0(5.0, -0.9, SeriesMode(10), precision="extended"), 10, 3),
+], ids=["Q5-order30", "a5-order20", "Q1-order60", "a5-diverging"])
+def test_a_pair_far_above_float64_rounding_is_scored_in_float64(residual_calls, problem,
+                                                                scored, above):
+    solve_problem(problem)
+    pairs = list(residual_calls)  # scored again below
+    kept = 0
+    for pair in pairs:
+        plain, ext, threshold = _scores(pair)
+        if plain >= threshold:
+            kept += 1
+            assert ham.residual_error(*pair) == plain
+            assert abs(plain - ext) <= 2.0**-30 * ext
+        else:
+            assert ham.residual_error(*pair) == ext
+    assert (len(pairs), kept) == (scored, above)
+
+
+def test_a_non_finite_float64_score_falls_back_to_double_double(residual_calls):
+    # the guess of this series scores inf in float64 and nan in double-double
+    problem = GivenLoadProblem.with_c0(1e100, -0.5, SeriesMode(3), precision="extended")
+    with pytest.warns(RuntimeWarning):
+        rep = solve_problem(problem)
+        guess = residual_calls[0]
+        plain, ext, _ = _scores(guess)
+        assert plain == math.inf and math.isnan(ext)
+        assert math.isnan(ham.residual_error(*guess))
+    assert rep.status == "diverged" and rep.err == math.inf
 
 
 def _overflowed(line):

@@ -1,6 +1,6 @@
 """When an iterate run stops: the stall rule of ``ham.run_passes`` on
-scripted residuals, and the pass counts of the converging runs that the
-rule must leave alone."""
+scripted residuals and at a rounding floor, and the pass counts of the
+converging runs that the rule must leave alone."""
 
 import numpy as np
 import pytest
@@ -29,12 +29,14 @@ _LONG = IterateMode(max_iter=1000)
     # a new minimum on the last pass before the stall starts the count again
     (_FALLING + [1.0] * (STALL_PASSES - 1) + [1e-4] + [1.0] * 100, _LONG,
      "stalled", 10 + 2 * STALL_PASSES),
+    # a minimum below the best by a relative 2**-21, rounding at a floor, is none
+    (_FALLING + [_FALLING[-1] * (1.0 - 2.0**-21)] * 100, _LONG, "stalled", 10 + STALL_PASSES),
     # 100 passes without a new minimum in all, but never two in a row
     ([x for k in range(100) for x in (1.0 / (k + 1), 5.0)], IterateMode(max_iter=200),
      "max_iter", 200),
     # a series always runs to its order
     (_FALLING + [0.5] * 100, SeriesMode(110), "max_iter", 110),
-], ids=["plateau", "equal", "restart", "alternating", "series"])
+], ids=["plateau", "equal", "restart", "rounding", "alternating", "series"])
 def test_stall_rule_on_scripted_residuals(monkeypatch, errs, mode, status, passes):
     scores = iter(errs)
     monkeypatch.setattr(ham, "residual_error", lambda *args: next(scores))
@@ -42,6 +44,16 @@ def test_stall_rule_on_scripted_residuals(monkeypatch, errs, mode, status, passe
     run = ((i, i, phi, s, 1.0) for i in range(1, len(errs) + 1))
     rep = ham.run_passes(run, B, {}, mode)
     assert (rep.status, len(rep.history), rep.err) == (status, passes, errs[passes - 1])
+
+
+def test_a_run_at_its_rounding_floor_stalls():
+    # err reaches 1.7727e-54 at pass 83; its last minima, at passes 132 and 166,
+    # improve on the best by 8e-6 and 1.6e-7 relative; counted as a new
+    # minimum, the second kept the run going to all 200 passes (max_iter)
+    mode = IterateMode(order=5, truncation=100, tol=0.0, max_iter=200)
+    rep = solve_problem(GivenLoadProblem.with_c0(132.2, -0.15, mode, precision="extended"))
+    assert (rep.status, len(rep.history)) == ("stalled", 132 + STALL_PASSES)
+    assert min(rec.err for rec in rep.history) < 1.8e-54
 
 
 _ITER = IterateMode()

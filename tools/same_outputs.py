@@ -108,6 +108,10 @@ COMMANDS = (
     # extended-precision series in both directions
     "solve-q --Q 5 --order 20 --format json" + _EXT + _D,
     "solve-a --a 5 --order 20 --format json" + _EXT + _D,
+    # an extended series whose residual scores go both ways: 4 of its 61
+    # pairs in float64, above 2**-26 * M**2 (see ham.residual_error), 57 in
+    # double-double
+    "solve-q --Q 1 --c0 -0.9 --order 60" + _EXT + _D,
     # a simply supported edge (lam != 0)
     "solve-a --a 5 --boundary simple --format json" + _D,
     # diverging runs
