@@ -8,9 +8,10 @@ transformations (Dekker splitting, Knuth two-sum), so they stay exact
 under IEEE-754 round-to-nearest.
 
 Only the handful of operations the series solver needs is provided:
-addition, multiplication, division by a float, a compensated sum of
-double-double rows (``reduce_rows``) and a compensated sum of float
-products (``dot_rows``).  Nothing here knows about polynomials.
+addition, multiplication, division by a float and one compensated sum,
+of products of floats or of double-doubles (``dot_rows``); a sum of
+double-double rows x is ``dot_rows(xh, 1.0, lo=(xl, 0.0))``.  Nothing
+here knows about polynomials.
 """
 
 from __future__ import annotations
@@ -64,13 +65,6 @@ def add(xh, xl, yh, yl):
     return quick_two_sum(s, e)
 
 
-def add_d(xh, xl, y):
-    """Double-double + float."""
-    s, e = two_sum(xh, y)
-    e = e + xl
-    return quick_two_sum(s, e)
-
-
 def mul(xh, xl, yh, yl):
     """Double-double * double-double."""
     p, e = two_prod(xh, yh)
@@ -85,16 +79,6 @@ def mul_d(xh, xl, y):
     return quick_two_sum(p, e)
 
 
-def div_floats(a, b):
-    """Quotient of two floats as a double-double."""
-    q1 = a / b
-    p, e = two_prod(q1, b)
-    # remainder a - q1*b, accurate to a second quotient digit
-    s, f = two_sum(a, -p)
-    q2 = (s + (f - e)) / b
-    return quick_two_sum(q1, q2)
-
-
 def div_d(xh, xl, y):
     """Double-double / float."""
     q1 = xh / y
@@ -105,30 +89,7 @@ def div_d(xh, xl, y):
     rh, rl = add(rh, rl, -p, -e)
     q3 = rh / y
     s, f = quick_two_sum(q1, q2)
-    return add_d(s, f, q3)
-
-
-def reduce_rows(xh, xl):
-    """Compensated sum of double-double rows down axis 0; returns one row as an (hi, lo) pair.
-
-    Each step adds rows h.. to rows 0.. in one vector ``add``, with h the
-    largest power of two below the row count; rows left unpaired are
-    carried, so n rows take ceil(log2 n) steps (pairwise summation).  An
-    empty input sums to zero.
-    """
-    xh = np.asarray(xh, dtype=float)
-    xl = np.asarray(xl, dtype=float)
-    if len(xh) == 0:
-        return np.zeros(xh.shape[1:]), np.zeros(xl.shape[1:])
-    while len(xh) > 1:
-        n = len(xh)
-        h = 1 << (n - 1).bit_length() - 1
-        sh, sl = add(xh[: n - h], xl[: n - h], xh[h:], xl[h:])
-        if n - h < h:
-            sh = np.concatenate([sh, xh[n - h : h]])
-            sl = np.concatenate([sl, xl[n - h : h]])
-        xh, xl = sh, sl
-    return xh[0], xl[0]
+    return add(s, f, q3, 0.0)
 
 
 def dot_rows(x, y, x_parts=None, y_parts=None, lo=None):
@@ -136,8 +97,9 @@ def dot_rows(x, y, x_parts=None, y_parts=None, lo=None):
 
     This is the Dot2 of Ogita, Rump & Oishi (2005): ``two_prod`` makes
     every product exact as p + e, the rounded products p are summed
-    pairwise by ``two_sum`` (the tree of ``reduce_rows``), and every
-    product's and every addition's rounding error is summed in float64.
+    pairwise by ``two_sum`` (n rows in ceil(log2 n) vector steps), and
+    every product's and every addition's rounding error is summed in
+    float64.  No rows sum to a zero pair.
     x and y broadcast against each other; ``x_parts`` and ``y_parts`` are
     their ``split`` halves (a pair, or an array stacking the two), for a
     caller that splits an operand once and uses it in many calls.  ``lo``
@@ -151,6 +113,8 @@ def dot_rows(x, y, x_parts=None, y_parts=None, lo=None):
     and u = 2**-53 (without ``lo``).
     """
     p = x * y
+    if not len(p):
+        return np.zeros(p.shape[1:]), np.zeros(p.shape[1:])
     ah, al = split(x) if x_parts is None else x_parts
     bh, bl = split(y) if y_parts is None else y_parts
     # _product_error's operations in its order, in place

@@ -84,8 +84,8 @@ def _weights(w: float, size: int, extended: bool):
         # the weight enters as the exact pair w - 1
         wm1_h, wm1_l = dd.two_sum(w, -1.0)
         a_h, a_l = dd.div_d(np.full(size, wm1_h), np.full(size, wm1_l), m + 2.0)
-        b_h, b_l = dd.div_floats(1.0, m + 1.0)
-        c_h, c_l = dd.div_floats(1.0, m + 2.0)
+        b_h, b_l = dd.div_d(1.0, 0.0, m + 1.0)
+        c_h, c_l = dd.div_d(1.0, 0.0, m + 2.0)
         weights = dd.add(a_h, a_l, b_h, b_l) + dd.add(c_h, c_l, -b_h, -b_l)
     else:
         weights = ((w - 1.0) / (m + 2.0) + 1.0 / (m + 1.0), 1.0 / (m + 2.0) - 1.0 / (m + 1.0))

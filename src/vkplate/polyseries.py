@@ -336,7 +336,7 @@ def weighted_integral(a: np.ndarray) -> float:
     if a.ndim != 2:
         return fsum(a[..., 1:] / m)  # a batch's rows are summed one by one
     h, l = dd.div_d(a[0, 1:], a[1, 1:], m.astype(float))
-    return dd.to_float(*dd.reduce_rows(h, l))
+    return dd.to_float(*dd.dot_rows(h, 1.0, lo=(l, 0.0)))
 
 
 def convolve(f: np.ndarray, g: np.ndarray, max_degree: int | None = None) -> np.ndarray:

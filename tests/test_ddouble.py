@@ -63,9 +63,9 @@ def test_add_and_mul_against_mpmath():
         assert abs(got_p - (x * y)) <= abs(x * y) * mpmath.mpf(1e-28)
 
 
-def test_div_floats_recovers_extra_digits():
+def test_div_d_of_a_float_recovers_extra_digits():
     mpmath.mp.dps = 60
-    h, lo = dd.div_floats(1.0, 3.0)
+    h, lo = dd.div_d(1.0, 0.0, 3.0)
     got = mpmath.mpf(float(h)) + mpmath.mpf(float(lo))
     assert abs(got - mpmath.mpf(1) / 3) < mpmath.mpf(1e-32)
 
@@ -94,7 +94,7 @@ def test_reduce_sum_is_compensated():
     xh[1::2] = -big
     xl = np.zeros(2 * n)
     x = np.concatenate([xh, small])
-    h, lo = dd.reduce_rows(x, np.concatenate([xl, np.zeros(n)]))
+    h, lo = dd.dot_rows(x, 1.0, lo=(np.concatenate([xl, np.zeros(n)]), 0.0))
     assert float(h) + float(lo) == float(n)
     # the same terms as products x * 1: every two_sum error is an integer
     h, lo = dd.quick_two_sum(*dd.dot_rows(x, np.ones_like(x)))
@@ -161,13 +161,14 @@ def test_split_is_exact_into_half_width_parts():
         assert _significant_bits(hi[i]) <= 26 and _significant_bits(lo[i]) <= 26
 
 
-def test_reduce_rows_matches_exact_rational_column_sums():
-    # 37 rows: the first step pairs five of them and carries the other 27
+def test_row_sums_match_exact_rational_column_sums():
+    # double-double rows summed as products with 1: 37 rows, the first
+    # step pairs five of them and carries the other 27
     rng = np.random.default_rng(19)
     xh = rng.uniform(-3, 3, (37, 6)) * 10.0 ** rng.integers(-8, 8, (37, 6))
     xl = xh * rng.uniform(-1, 1, xh.shape) * 1e-17
     xh, xl = dd.two_sum(xh, xl)
-    h, lo = dd.reduce_rows(xh, xl)
+    h, lo = dd.dot_rows(xh, 1.0, lo=(xl, 0.0))
     assert h.shape == lo.shape == (6,)
     for c in range(6):
         want = sum((_exact(xh[r, c], xl[r, c]) for r in range(37)), Fraction(0))
@@ -179,14 +180,14 @@ def test_reduce_rows_matches_exact_rational_column_sums():
         h, lo = PolySeries(xh[:, c], lo=xl[:, c])._horner_dd(np.asarray(y))
         terms = [_exact(xh[r, c], xl[r, c]) * Fraction(y) ** r for r in range(37)]
         assert abs(_exact(h, lo) - sum(terms)) <= sum(map(abs, terms)) / 10**30
-    zh, zl = dd.reduce_rows(np.zeros((0, 4)), np.zeros((0, 4)))
+    zh, zl = dd.dot_rows(np.zeros((0, 4)), 1.0, lo=(np.zeros((0, 4)), 0.0))
     assert np.array_equal(zh, np.zeros(4)) and np.array_equal(zl, np.zeros(4))
 
 
-def test_neg_add_d_mul_d_shapes_and_values():
+def test_add_of_a_float_and_mul_d_shapes_and_values():
     xh = np.array([1.5, -2.0, 8.0])
     xl = np.array([1e-17, 0.0, -2e-17])
-    ah, al = dd.add_d(xh, xl, 2.5)
+    ah, al = dd.add(xh, xl, 2.5, 0.0)
     for i in range(3):
         assert _exact(ah[i], al[i]) == _exact(xh[i], xl[i]) + Fraction(2.5)
     mh, ml = dd.mul_d(xh, xl, 3.0)
@@ -212,7 +213,7 @@ def test_scalar_and_array_paths_agree():
 def test_rounding_floor_beats_plain_double():
     # summing 1 + 1e-17 five hundred times: plain double stays at 500.0
     n = 500
-    h, lo = dd.reduce_rows(np.full(n, 1.0), np.full(n, 1e-17))
+    h, lo = dd.dot_rows(np.full(n, 1.0), 1.0, lo=(np.full(n, 1e-17), 0.0))
     assert math.fsum([1.0] * n) == 500.0
     assert abs((Fraction(float(h)) + Fraction(float(lo))) - (500 + Fraction(5, 10**15))) \
         < Fraction(1, 10**25)

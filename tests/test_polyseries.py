@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vkplate import ddouble as dd
 from vkplate import polyseries
 from vkplate.polyseries import PolySeries, add, deflection_series, multiply, widen
 
@@ -22,6 +23,10 @@ def _random_poly(rng, degree, extended=False):
     coeffs = rng.uniform(-2.0, 2.0, degree + 1)
     p = PolySeries(coeffs)
     return _extended(p) if extended else p
+
+
+def _exact_dd(hi, lo):
+    return Fraction(float(hi)) + Fraction(float(lo))
 
 
 def _is_zero(p):
@@ -219,6 +224,42 @@ def test_integral_over_y_against_quadrature():
                             abs_tol=1e-12)
     assert ZERO3.integral_over_y() == 0.0
     assert _extended(ZERO3).integral_over_y() == 0.0
+    # a double-double series with no term past the constant sums no rows
+    assert PolySeries([0.0], lo=[0.0]).integral_over_y() == 0.0
+    assert PolySeries([], lo=[]).integral_over_y() == 0.0
+    s, e = dd.dot_rows(np.zeros(0), np.zeros(0))
+    assert s == e == 0.0
+
+
+def test_extended_integral_over_y_under_cancellation():
+    # random double-double series of up to 101 terms, every other one with
+    # its last coefficient set so that the sum of a[m] / m cancels to
+    # 1e-16..1e-3 of the sum of |a[m] / m|, as a prescribed deflection's
+    # load terms nearly vanish.  Against exact rationals the float lies
+    # within u of the sum plus the Dot2 bound of dd.dot_rows,
+    # 2 L (L + 1) u**2 of the absolute sum, plus one u**2 of it for the
+    # rounding of dd.div_d's quotients
+    rng = np.random.default_rng(43)
+    u = Fraction(1, 2**53)
+    for trial in range(200):
+        n = int(rng.integers(3, 102))
+        h = np.zeros(n)
+        h[1:] = rng.uniform(-2, 2, n - 1) * 10.0 ** rng.integers(-3, 4, n - 1)
+        h, l = dd.two_sum(h, h * rng.uniform(-1, 1, n) * 2.0**-53)
+        q = [_exact_dd(h[m], l[m]) / m for m in range(1, n)]
+        if trial % 2:
+            absum = sum(map(abs, q[:-1]))
+            target = Fraction(10.0 ** rng.uniform(-16, -3)) * absum * (-1) ** int(rng.integers(2))
+            last = (target - sum(q[:-1])) * (n - 1)
+            h[-1] = float(last)
+            l[-1] = float(last - Fraction(h[-1]))
+            q[-1] = _exact_dd(h[-1], l[-1]) / (n - 1)
+        want, absum = sum(q), sum(map(abs, q))
+        if trial % 2:
+            assert absum / 10**17 < abs(want) <= absum / 10**3
+        L = (n - 2).bit_length()
+        got = PolySeries(h, lo=l).integral_over_y()
+        assert abs(Fraction(got) - want) <= u * abs(want) + (2 * L * (L + 1) + 1) * u**2 * absum
 
 
 def test_array_add_pads_and_widens():
