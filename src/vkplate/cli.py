@@ -341,11 +341,9 @@ def cmd_compare_orders(sub, args):
 
 
 def cmd_compare_baseline(sub, args):
-    if not 0.0 < args.theta <= 1.0:
-        sub.error("--theta must lie in (0, 1]")
     problem = _build_problem(sub, args, _iterate_mode(sub, args, args.M), "Q")
-    baseline = solve_baseline(args.Q, args.theta, _iterate_mode(sub, args, 1),
-                              boundary=problem.boundary)
+    baseline = _checked(sub, solve_baseline, args.Q, args.theta, _iterate_mode(sub, args, 1),
+                        boundary=problem.boundary)
     ham = solve_problem(problem)
     rows = ((name, rec.iteration, rec.err, rec.q, rec.w0_over_h,
              0.0 if args.deterministic else rec.wall_ms)

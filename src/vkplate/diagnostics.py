@@ -48,19 +48,6 @@ class SweepResult:
 _CHUNK_DOUBLES = 6 << 10
 
 
-def _stepped_rows(problem, c0s):
-    """The stepped series state of each control of c0s, or None for one its solve
-    must step: the controls go as one batch, or, where a batch raises, as two
-    halves, down to controls alone, which are left to their solves."""
-    if len(c0s) == 1:
-        return [None]
-    batch = _stepped_chunk(problem, c0s)
-    if batch is not None:
-        return [batch.row(j) for j in range(len(c0s))]
-    half = len(c0s) // 2
-    return _stepped_rows(problem, c0s[:half]) + _stepped_rows(problem, c0s[half:])
-
-
 def _stepped_chunk(problem, c0s):
     """The series state of the controls c0s stepped as one float64 batch, or None on
     a floating-point exception, which a control alone may only warn of."""
@@ -84,9 +71,9 @@ def sweep_c0(problem, c0_grid) -> SweepResult:
     Each grid value c0 replaces both controls of ``problem``, which its own
     solver then judges, so a ``SeriesMode`` scores the plain series at its
     order; since only err and status are read, it runs with ``every_order``
-    False.  A float64 series is stepped in chunks of controls (a chunk that
-    raises in halves, see ``_stepped_rows``) and each solve gets its row, so
-    every err and status is, bit for bit, that of the control solved alone.
+    False.  A float64 series is stepped in chunks of controls and each solve
+    gets its row (a chunk that raises leaves every control to its own solve),
+    so every err and status is, bit for bit, that of the control solved alone.
     Points are reported in grid order; ``best`` is the finite minimum (None
     if every point diverged).  The residual valley around the minimum is the
     usable control region.
@@ -106,11 +93,12 @@ def sweep_c0(problem, c0_grid) -> SweepResult:
     points = []
     for i in range(0, len(grid), size):
         chunk = grid[i : i + size]
-        rows = _stepped_rows(problem, chunk)
-        for c0, row in zip(chunk, rows):
+        batch = _stepped_chunk(problem, chunk) if len(chunk) > 1 else None
+        for j, c0 in enumerate(chunk):
+            row = None if batch is None else batch.row(j)
             run = solve_problem(replace(problem, c1=c0, c2=c0), row)
             points.append(SweepPoint(c0, run.err, run.status))
-        del rows, row  # before the next chunk is stepped
+        del batch, row  # before the next chunk is stepped
     finite = [p for p in points if math.isfinite(p.err)]
     best = min(finite, key=lambda p: p.err) if finite else None
     return SweepResult(tuple(points), best)

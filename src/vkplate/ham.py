@@ -68,6 +68,7 @@ from .polyseries import (
     add,
     convolve,
     drop_power_tables,
+    fsum,
     multiply,
     over_y_squared,
     scale,
@@ -260,10 +261,9 @@ def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=Non
             q, state = state.q, fresh  # free the finished terms before the pass is scored
             phi, s = state.phi_terms[0], state.s_terms[0]
             err = yield it, it * mode.order, series(phi), series(s), q
-            if extended and phi.ndim == 1:
-                drop_power_tables()  # 202 KB, rebuilt by the next residual, not kept
-                if err <= 2.0**-53 * _largest(phi, s) ** 2:
-                    state.phi_terms[0], state.s_terms[0] = widen(phi), widen(s)
+            if extended and phi.ndim == 1 and err <= 2.0**-53 * _largest(phi, s) ** 2:
+                drop_power_tables()  # the float64 scores' 202 KB, freed once, at the switch
+                state.phi_terms[0], state.s_terms[0] = widen(phi), widen(s)
         return
     phi, s = state.phi_terms[0], state.s_terms[0]
     if extended:
@@ -278,15 +278,17 @@ def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=Non
         yield k, k, series(phi), series(s), state.q_through(k)
 
 
-def staggered_pass(state: HomotopyState, boundary: BoundarySpec,
-                   truncation: int | None = None) -> HomotopyState:
+def staggered_pass(state: HomotopyState, order: int, truncation: int | None,
+                   boundary: BoundarySpec) -> HomotopyState:
     """First-order pass with the membrane update adopted before the slope one.
 
     Updating ``s`` first and letting the slope equation see the updated
     value reproduces, with c1 = -theta and c2 = -1, the classical
-    interpolation iteration step; ``vkplate.interpolation.solve`` runs the
-    baseline on it.
+    interpolation iteration step.  It is the pass of the baseline,
+    ``vkplate.interpolation.solve``: ``iterate_pass``'s arguments, order 1.
     """
+    if order != 1:
+        raise OrderingError(f"the staggered pass is first-order, got order {order}")
     if state.load is None:
         raise OrderingError("staggered pass is defined for prescribed-load states")
     cap, keep = truncation_rule(truncation)
@@ -357,10 +359,7 @@ def _grid_error(phi: PolySeries, s: PolySeries, load: float,
     if not (phi.extended or s.extended):  # both built first: overflows warn in that order
         n1, n2 = _operators(phi, s, load, boundary)
         v1, v2 = n1.evaluate_grid(GRID_POINTS), n2.evaluate_grid(GRID_POINTS)
-        try:
-            return (math.fsum(v1 * v1) + math.fsum(v2 * v2)) / (GRID + 1)
-        except OverflowError:  # the squares sum past the float range
-            return math.inf
+        return (fsum(v1 * v1) + fsum(v2 * v2)) / (GRID + 1)
     # each operator is built once the one before is evaluated and freed: with
     # both alive, one residual at N = 100 peaked about 3 KB higher
     v1, v2 = (n._horner_dd(GRID_POINTS) for n in _operators(phi, s, load, boundary))

@@ -405,7 +405,7 @@ def deflection_series(phi: PolySeries) -> PolySeries:
     cancels to zero exactly, not merely to rounding.
     """
     a = phi.array
-    if np.count_nonzero(a[..., 0]) and np.isfinite(a).all():
+    if np.count_nonzero(a[..., 0]) and _finite_lead(a, 1):
         raise ValueError("slope series must vanish at y = 0")
     m = np.arange(1, len(phi.coeffs))
     w = np.zeros(a.shape)

@@ -9,7 +9,8 @@ are ``PolySeries``, and one sweep of the interpolation baseline.  The
 array code of ``vkplate.ham`` must reproduce the first three bit for bit.
 
 The baseline sweep is the paper's independent spelling of the relaxed
-fixed-point iteration.  ``baseline_sweeps`` runs it beside
+fixed-point iteration, from its own first iterate ``first_iterate``.
+``baseline_sweeps`` runs it beside
 ``ham.staggered_pass`` at c1 = -theta, c2 = -1, the pass the baseline
 solver runs on; the two differ only in rounding, and ``grid_gap`` measures
 by how much.
@@ -22,7 +23,6 @@ import numpy as np
 from vkplate.config import GRID_POINTS
 from vkplate.ham import HomotopyState, OrderingError
 from vkplate.ham import staggered_pass as ham_staggered_pass
-from vkplate.interpolation import initial_state
 from vkplate.kernels import (
     BoundarySpec,
     apply_membrane_kernel,
@@ -152,6 +152,11 @@ def staggered_pass(state, boundary, truncation=None):
     return HomotopyState([phi_star], [s_star], state.c1, state.c2, state.load)
 
 
+def first_iterate(load, theta, boundary):
+    """The baseline's first slope iterate -theta * Q * K[1], K[1] = ((lam + 1) y - y**2) / 2."""
+    return (-theta * load) * np.array([0.0, (boundary.lam + 1.0) / 2.0, -0.5])
+
+
 def interpolation_step(phi, theta, load, boundary, truncation=100):
     """One sweep of the interpolation baseline on ``PolySeries``: (phi_next, psi)."""
     cap = None if truncation is None else truncation + 2
@@ -174,11 +179,11 @@ def baseline_sweeps(load, theta, sweeps, truncation=100, boundary=BoundarySpec()
     side by side from the same first iterate.  Yields, after each sweep, the
     pairs (phi, reference phi) and (s, reference psi): an array and a
     ``PolySeries``."""
-    phi = initial_state(load, theta, boundary)
+    phi = first_iterate(load, theta, boundary)
     state = HomotopyState([phi], [np.zeros(1)], -theta, -1.0, load)
     ref = PolySeries(phi)
     for _ in range(sweeps):
-        state = ham_staggered_pass(state, boundary, truncation)
+        state = ham_staggered_pass(state, 1, truncation, boundary)
         ref, ref_psi = interpolation_step(ref, theta, load, boundary, truncation)
         yield (state.phi_terms[0], ref), (state.s_terms[0], ref_psi)
 

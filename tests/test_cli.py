@@ -267,6 +267,14 @@ def test_compare_baseline_csv(tmp_path):
     assert methods == {"baseline", "ham"}
 
 
+@pytest.mark.parametrize("theta", ["0", "1.5"])
+def test_compare_baseline_checks_theta(theta, capsys):
+    # the baseline solver's own check, reported as a usage error
+    assert run_cli(["compare-baseline", "--Q", "10", "--theta", theta,
+                    "--out", os.devnull]) == 1
+    assert "outside (0, 1]" in capsys.readouterr().err
+
+
 def test_curve_command(tmp_path):
     path = tmp_path / "curve.csv"
     code = run_cli(["curve", "--Q", "5", "--order", "20", "--samples", "9",

@@ -107,17 +107,24 @@ def test_sweep_chunks_cover_the_grids(monkeypatch):
     # a float64 series takes one step per order and chunk
     sweep_c0(_HINGED_LOAD, _GRID[:8])
     assert steps == 2 * list(range(1, 21))
-    # a chunk that raises is stepped in halves, down to single controls: the
-    # one holding -1.0 steps its other controls through all 20 orders in
-    # batches of 3 and 2, and -1.0 in its own solve (which diverges)
+    # a chunk that raises leaves every control to its own solve: the one holding
+    # -1.0 is tried as a batch, up to the order that raises, and then each of its
+    # controls takes the steps of its solve alone, in grid order
     chunk = _GRID[6:12]
     assert chunk[3] == -1.0 and _stepped_chunk(_HINGED_LOAD, chunk) is None
     steps.clear()
     controls.clear()
     sweep_c0(_HINGED_LOAD, chunk)
-    assert [c for c, k in zip(controls, steps) if k == 20] == [tuple(chunk[:3]),
-                                                              tuple(chunk[4:])]
-    assert {c for c in controls if -1.0 in c} == {tuple(chunk), tuple(chunk[3:]), (-1.0,)}
+    swept = list(zip(steps, controls))
+    steps.clear()
+    controls.clear()
+    series = replace(_HINGED_LOAD.mode, every_order=False)
+    for c0 in chunk:
+        solve_problem(replace(_HINGED_LOAD, c1=c0, c2=c0, mode=series))
+    tried = [(k, c) for k, c in swept if c == tuple(chunk)]
+    assert [k for k, _ in tried] == list(range(1, len(tried) + 1))
+    assert swept == tried + list(zip(steps, controls))
+    assert set(controls) == {(c0,) for c0 in chunk}
     # an extended or iterate sweep steps each control as its own solve does
     for problem in (replace(_SIMPLE_DEFLECTION, mode=SeriesMode(8), precision="extended"),
                     replace(_HINGED_LOAD, mode=IterateMode(3, 12, max_iter=6))):

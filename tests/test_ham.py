@@ -212,7 +212,7 @@ def test_negative_truncation_is_rejected():
             deformation_step(state, 1, B, truncation=n)
         assert state.q_terms == [] and len(state.phi_terms) == 1
         with pytest.raises(ValueError):
-            staggered_pass(state, B, truncation=n)
+            staggered_pass(state, 1, n, B)
 
 
 def test_iterate_pass_collapses_partial_sums():
@@ -293,7 +293,7 @@ def test_staggered_pass_adopts_membrane_update_first():
     q, theta = 5.0, 0.5
     phi0 = PolySeries(forcing(B, -theta * q))
     state = HomotopyState([phi0.array], [np.zeros(1)], -theta, -1.0, q)
-    nxt = staggered_pass(state, B)
+    nxt = staggered_pass(state, 1, None, B)
     # manual: psi = G-image of phi0**2 / (2 y**2); then the slope update
     # sees that psi, not the stale zero
     psi = apply_membrane_kernel(
@@ -309,7 +309,16 @@ def test_staggered_pass_adopts_membrane_update_first():
 
 def test_staggered_pass_rejects_deflection_states():
     with pytest.raises(OrderingError):
-        staggered_pass(_deflection_state(1.0, -0.5), B)
+        staggered_pass(_deflection_state(1.0, -0.5), 1, None, B)
+
+
+def test_staggered_pass_is_first_order_only():
+    # it takes iterate_pass's arguments, but only a first-order pass exists
+    state = _load_state(5.0, -0.5)
+    for order in (0, 2):
+        with pytest.raises(OrderingError):
+            staggered_pass(state, order, 20, B)
+    assert len(state.phi_terms) == 1 and state.q_terms == []
 
 
 def test_residual_zero_for_zero_load_zero_solution():
@@ -504,6 +513,6 @@ def test_staggered_pass_matches_reference(truncation, precision):
     boundary = BoundarySpec("hinged")
     state, ref = _reference_pair("load", precision, boundary, c0=-0.3)
     for _ in range(4):
-        state = staggered_pass(state, boundary, truncation)
+        state = staggered_pass(state, 1, truncation, boundary)
         ref = oracles.staggered_pass(ref, boundary, truncation)
         _assert_terms_equal(state, ref)

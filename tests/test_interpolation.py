@@ -6,29 +6,49 @@ import math
 import numpy as np
 import pytest
 
+from vkplate import ham
 from vkplate.config import GRID, IterateMode, SeriesMode, config_echo
-from vkplate.given_load import GivenLoadProblem
+from vkplate.given_load import GivenLoadProblem, initial_slope
 from vkplate.ham import HomotopyState, staggered_pass
-from vkplate.interpolation import initial_state, solve
-from vkplate.kernels import BOUNDARY_KINDS, BoundarySpec, forcing
+from vkplate.interpolation import solve
+from vkplate.kernels import BOUNDARY_KINDS, BoundarySpec
 
 import oracles
 
 B = BoundarySpec()
 
 
-def test_initial_state_scaling():
-    phi = initial_state(5.0, 0.4, B)
-    assert isinstance(phi, np.ndarray)
-    assert np.array_equal(phi, forcing(B, -2.0))
+def test_first_iterate_is_the_load_guess_at_minus_theta():
+    # the baseline's first iterate -theta Q K[1], spelled by the oracle, is the
+    # prescribed-load guess at c0 = -theta, bit for bit, on every edge
+    for kind in BOUNDARY_KINDS:
+        b = BoundarySpec(kind)
+        for load, theta in ((5.0, 0.4), (132.2, 0.1), (10.0, 0.3), (-7.3, 1.0)):
+            phi = initial_slope(load, -theta, b)
+            assert isinstance(phi, np.ndarray)
+            assert np.array_equal(phi, oracles.first_iterate(load, theta, b))
 
 
 def test_theta_domain():
-    with pytest.raises(ValueError):
-        initial_state(5.0, 0.0, B)
-    with pytest.raises(ValueError):
-        initial_state(5.0, 1.5, B)
-    initial_state(5.0, 1.0, B)  # closed at one
+    mode = IterateMode(order=1, truncation=20, max_iter=2)
+    for theta in (0.0, 1.5, -0.3, math.nan):
+        with pytest.raises(ValueError, match="theta"):
+            solve(5.0, theta, mode, B)
+    assert solve(5.0, 1.0, mode, B).config["theta"] == 1.0  # closed at one
+
+
+def test_solve_runs_the_staggered_pass_it_finds_at_the_call(monkeypatch):
+    # a wrapped ham.staggered_pass (a profiler's) is the pass that runs
+    calls = []
+    real = ham.staggered_pass
+
+    def traced(state, order, truncation, boundary):
+        calls.append((order, truncation, boundary))
+        return real(state, order, truncation, boundary)
+
+    monkeypatch.setattr(ham, "staggered_pass", traced)
+    rep = solve(10.0, 0.3, IterateMode(order=1, truncation=40, tol=1e-30, max_iter=5), B)
+    assert rep.iterations == 5 and calls == [(1, 40, B)] * 5
 
 
 @pytest.mark.parametrize("kind", BOUNDARY_KINDS)
@@ -54,19 +74,19 @@ def test_step_caps_degrees_at_the_truncation():
     # cut at n keeps exactly its first n + 1 coefficients; the coupling
     # (degree 6) is cut too, while phi and the load image (degree 2) are
     # not, and a cut at or above every degree changes nothing
-    state = HomotopyState([initial_state(5.0, 0.4, B)], [np.zeros(1)], -0.4, -1.0, 5.0)
-    full = staggered_pass(state, B, truncation=None)
+    state = HomotopyState([initial_slope(5.0, -0.4, B)], [np.zeros(1)], -0.4, -1.0, 5.0)
+    full = staggered_pass(state, 1, None, B)
     full_phi, full_psi = full.phi_terms[0], full.s_terms[0]
     assert len(full_psi) == 5 and len(full_phi) == 7
     for n in (2, 3, 6, 9):  # from n = 2 the product cap n + 2 covers phi**2
-        cut = staggered_pass(state, B, truncation=n)
+        cut = staggered_pass(state, 1, n, B)
         cut_phi, cut_psi = cut.phi_terms[0], cut.s_terms[0]
         assert len(cut_psi) == min(n + 1, 5)
         assert len(cut_phi) == max(3, min(n + 1, 7))
         assert np.array_equal(cut_psi, full_psi[: n + 1])
-    assert np.array_equal(staggered_pass(state, B, truncation=6).phi_terms[0], full_phi)
+    assert np.array_equal(staggered_pass(state, 1, 6, B).phi_terms[0], full_phi)
     with pytest.raises(ValueError):
-        staggered_pass(state, B, truncation=-1)
+        staggered_pass(state, 1, -1, B)
 
 
 def test_equivalence_over_many_sweeps():
@@ -121,9 +141,9 @@ def test_solve_is_the_staggered_pass_on_the_shared_driver():
     # five sweeps through ham.solve leave the pair that five hand-run
     # staggered passes from the same start leave, bit for bit
     rep = solve(10.0, 0.3, IterateMode(order=1, truncation=40, tol=1e-30, max_iter=5))
-    state = HomotopyState([initial_state(10.0, 0.3, B)], [np.zeros(1)], -0.3, -1.0, 10.0)
+    state = HomotopyState([initial_slope(10.0, -0.3, B)], [np.zeros(1)], -0.3, -1.0, 10.0)
     for _ in range(5):
-        state = staggered_pass(state, B, 40)
+        state = staggered_pass(state, 1, 40, B)
     assert np.array_equal(rep.phi.coeffs, state.phi_terms[0])
     assert np.array_equal(rep.s.coeffs, state.s_terms[0])
     assert [rec.order for rec in rep.history] == [1, 2, 3, 4, 5]

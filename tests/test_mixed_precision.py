@@ -144,10 +144,13 @@ def _overflowed(line):
     "solve-q --Q 1e300 --c0 -0.5 --iterate",
     "solve-q --Q 1e300 --c0 -0.5 --order 2 --precision extended",
     "solve-a --a 1e300 --c0 -0.5 --iterate --precision extended --format json",
-], ids=["series", "iterate", "extended-series", "extended-iterate"])
+    "solve-q --Q=1e155 --c0 -0.5 --order 3",
+], ids=["series", "iterate", "extended-series", "extended-iterate", "sum-of-squares"])
 def test_an_overflowed_pass_ends_diverged(line):
     # the series overflow to inf, and their products meet inf - inf and
-    # inf * 0: the pass scores err = inf and the run ends with its report
+    # inf * 0: the pass scores err = inf and the run ends with its report;
+    # at Q = 1e155 the grid values are finite but their squares sum past the
+    # float range (math.fsum raises there; at Q = 1.4e154 it does not)
     code, out, err = _overflowed(line)
     assert code == 2 and "Traceback" not in err
     assert "status=diverged" in err and "err=inf" in err
