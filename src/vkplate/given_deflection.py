@@ -74,17 +74,13 @@ def solve(problem: GivenDeflectionProblem, state: ham.HomotopyState | None = Non
     """Run the configured mode; history carries the evolving load estimate,
     ``restriction_defect`` the worst |w0 + a| of a pass (``ham.run_passes``)."""
     a = problem.deflection
-    worst_defect = 0.0
 
     def guard(w0, diverged):
-        nonlocal worst_defect
         defect = abs(w0 + a)
-        worst_defect = max(worst_defect, defect)
         if defect > _RESTRICTION_GUARD and not diverged:
             raise RuntimeError(f"side condition drifted to {defect:.3e}; "
                                "the load-term solve is broken")
+        return defect
 
-    report = ham.solve(problem, initial_slope(a, problem.boundary),
-                       {"solver": "given_deflection", "deflection": a}, guard, state=state)
-    report.restriction_defect = worst_defect
-    return report
+    return ham.solve(problem, initial_slope(a, problem.boundary),
+                     {"solver": "given_deflection", "deflection": a}, guard, state=state)

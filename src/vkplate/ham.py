@@ -37,8 +37,9 @@ correction vanish, which keeps the center deflection pinned.
 the one judge of a pass: it scores and records every pass (a series that
 reads only its end skips the orders ``residual_bound`` clears), shows it
 to the solver's ``watch``, stops on divergence, tolerance or a stall, and
-builds the run report.  ``residual_error`` scores a double-double pair in
-float64 while its residual lies far above float64's rounding.
+builds the run report.  An extended series runs in float64 when every pair
+it scores lies far above float64's rounding, and in double-double
+otherwise; ``residual_error`` scores a pair in the pair's own precision.
 """
 
 from __future__ import annotations
@@ -247,11 +248,12 @@ def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=Non
     the summed load expansion so far.  ``phi`` and ``s`` are
     ``PolySeries``; the state holds arrays.
 
-    ``extended`` widens the state to double-double: a series at once, for
-    all its orders, an iterate run once a pass scores err <= 2**-53 * m**2
-    (sent back), m the pair's largest |coefficient|, so its rounding is
-    sqrt(2**-53) below sqrt(err).  From then on ``iterate_pass`` steps each
-    pass's first order in double-double and its other orders in float64.
+    ``extended`` widens an iterate run's state to double-double once a pass
+    scores err <= 2**-53 * m**2 (sent back), m the pair's largest
+    |coefficient|, so its rounding is sqrt(2**-53) below sqrt(err).  From
+    then on ``iterate_pass`` steps each pass's first order in double-double
+    and its other orders in float64.  A series runs in its state's
+    precision, which ``solve`` picks.
     """
     series = PolySeries.from_array
     if isinstance(mode, IterateMode):
@@ -266,8 +268,6 @@ def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=Non
                 state.phi_terms[0], state.s_terms[0] = widen(phi), widen(s)
         return
     phi, s = state.phi_terms[0], state.s_terms[0]
-    if extended:
-        state.phi_terms[0], state.s_terms[0] = phi, s = widen(phi), widen(s)
     if state.load is not None:
         yield 0, 0, series(phi), series(s), state.load
     for k in range(1, mode.order + 1):
@@ -310,52 +310,14 @@ def _largest(*arrays) -> float:
 
 def residual_error(phi: PolySeries, s: PolySeries, load: float,
                    boundary: BoundarySpec) -> float:
-    """Mean square of N1 and N2 for a candidate pair on the residual grid.
+    """Mean square of N1 and N2 for a candidate pair on the residual grid,
+    in the pair's own precision: double-double when either input is.
 
     The operators are assembled without any truncation; the grid is the
     ``config.GRID`` + 1 uniform points of [0, 1].  Both residuals vanish
     identically at y = 0 by construction: the pair, the kernel images and
     the load image all have a zero constant term.
-
-    A double-double pair is scored first on its float64 high parts.  That
-    score is the err when it is finite and at least 2**-26 * M**2, with
-    M = max(m, m**2) and m the pair's largest |coefficient| (the m of
-    ``homotopy_passes``' switch): N1 and N2 add up the pair and the kernel
-    images of its products, whose coefficients reach about m**2.  Any other
-    pair is scored in double-double.  Above the threshold sqrt(err) >=
-    2**-13 * M, while the float64 rounding of N1 and N2 and the dropped low
-    parts are about n * 2**-53 * M for n coefficients, n * 2**-40 of
-    sqrt(err), so the err is good to about n * 2**-39 relative.  Over 3,533
-    pairs of extended series (load and deflection, clamped and simple
-    edges, c0 from -1.5 to -0.01, orders 10 and 30) the largest relative gap
-    to the double-double score above the threshold was 1.2e-12; a threshold
-    of 2**-26 * m**2 let a gap of 4.3e-5 through, on a diverging series with
-    m = 1.1e8.  The float64 score's power tables are dropped before the
-    double-double score starts.
     """
-    if phi.extended or s.extended:
-        # no warnings: a pair that overflows is scored, and warns, in double-double
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = _grid_error(PolySeries(phi.coeffs), PolySeries(s.coeffs), load, boundary)
-        drop_power_tables()  # 202 KB, rebuilt by the next float64 score, not kept
-        m = _largest(phi.coeffs, s.coeffs)
-        if math.isfinite(err) and err >= 2.0**-26 * max(m, m * m) ** 2:
-            return err
-    return _grid_error(phi, s, load, boundary)
-
-
-def _operators(phi: PolySeries, s: PolySeries, load: float, boundary: BoundarySpec):
-    """N1, then N2, as series: double-double when either input is."""
-    ext = phi.extended or s.extended
-    yield (phi + apply_slope_kernel(multiply(phi, s).divided_by_y_squared(), boundary)
-           + PolySeries.from_array(forcing(boundary, load, ext)))
-    yield s + apply_membrane_kernel(multiply(phi, phi).divided_by_y_squared(),
-                                    boundary).scaled(-0.5)
-
-
-def _grid_error(phi: PolySeries, s: PolySeries, load: float,
-                boundary: BoundarySpec) -> float:
-    """The mean square of ``residual_error``, in the pair's own precision."""
     if not (phi.extended or s.extended):  # both built first: overflows warn in that order
         n1, n2 = _operators(phi, s, load, boundary)
         v1, v2 = n1.evaluate_grid(GRID_POINTS), n2.evaluate_grid(GRID_POINTS)
@@ -369,6 +331,15 @@ def _grid_error(phi: PolySeries, s: PolySeries, load: float,
     sh, sl = dd.quick_two_sum(sh, sl + 2.0 * np.dot(vh, vl))
     sh, sl = dd.div_d(sh, sl, float(GRID + 1))
     return dd.to_float(sh, sl)
+
+
+def _operators(phi: PolySeries, s: PolySeries, load: float, boundary: BoundarySpec):
+    """N1, then N2, as series: double-double when either input is."""
+    ext = phi.extended or s.extended
+    yield (phi + apply_slope_kernel(multiply(phi, s).divided_by_y_squared(), boundary)
+           + PolySeries.from_array(forcing(boundary, load, ext)))
+    yield s + apply_membrane_kernel(multiply(phi, phi).divided_by_y_squared(),
+                                    boundary).scaled(-0.5)
 
 
 @functools.lru_cache(maxsize=16)
@@ -427,14 +398,16 @@ def residual_bound(phi: PolySeries, s: PolySeries, load: float,
 
 
 def run_passes(passes, boundary: BoundarySpec, config: dict,
-               mode: SeriesMode | IterateMode, watch=None) -> RunReport:
+               mode: SeriesMode | IterateMode, watch=None,
+               trial: bool = False) -> RunReport | None:
     """Score, record and classify the passes of one solve under ``mode``.
 
     ``passes`` generates at least one ``(iteration, order, phi, s, q)`` and
     is sent the last scored err (None before the first) for the next.
     Each pass gets one residual evaluation, one ``w0 =
     phi.integral_over_y()`` (W(0) = -w0), one history record and, with
-    ``watch`` set, one call ``watch(w0, diverged)``.  A non-finite residual
+    ``watch`` set, one call ``watch(w0, diverged)``, whose largest return
+    value is the report's ``restriction_defect``.  A non-finite residual
     (nan is recorded as inf) or one above ``DIVERGENCE_ERR`` ends the run diverged; an order-0
     record is the starting guess, not a pass, and is never judged
     diverged.  An ``IterateMode`` run ends as converged at the first
@@ -451,12 +424,30 @@ def run_passes(passes, boundary: BoundarySpec, config: dict,
     An order it skips has a finite residual under the threshold, so it is
     not diverged; it still gets its ``watch(w0, False)``, and err, status
     and the first diverged order are those of a full run.
+
+    With ``trial`` the passes are the float64 trial of an extended series
+    (see ``solve``), and the run returns None at the first pair whose err
+    is not finite and at least 2**-26 * M**2, with M = max(m, m**2) and m
+    the pair's largest |coefficient|: N1 and N2 add up the pair and the
+    kernel images of its products, whose coefficients reach about m**2.
+    Above the threshold sqrt(err) >= 2**-13 * M, while the float64 rounding
+    of the pair, N1 and N2 is about n * 2**-53 * M for n coefficients,
+    n * 2**-40 of sqrt(err), so the err is good to about n * 2**-39
+    relative.  Over 3,533 double-double pairs of extended series (load and
+    deflection, clamped and simple edges, c0 from -1.5 to -0.01, orders 10
+    and 30) the largest relative gap between the score of the high parts
+    and the double-double score above the threshold was 1.2e-12; a
+    threshold of 2**-26 * m**2 let a gap of 4.3e-5 through, on a diverging
+    series with m = 1.1e8.  A pair whose threshold overflows fails
+    unscored; an order that ``every_order`` False skips is scored but not
+    recorded, so that a trial is kept or abandoned as a full run's is.
     """
     sparse = isinstance(mode, SeriesMode) and not mode.every_order
     records = []
     status = "max_iter"
     err, best = None, math.inf
     since_best = 0
+    defect = None if watch is None else 0.0
     t0 = time.perf_counter()
     while True:
         try:
@@ -464,19 +455,27 @@ def run_passes(passes, boundary: BoundarySpec, config: dict,
         except StopIteration:
             break
         w0 = phi.integral_over_y()
-        if sparse and order < mode.order and (
-                order == 0 or residual_bound(phi, s, q, boundary) <= DIVERGENCE_ERR / 2):
+        skip = sparse and order < mode.order and (
+            order == 0 or residual_bound(phi, s, q, boundary) <= DIVERGENCE_ERR / 2)
+        if trial:  # every pair must lie far above float64's rounding, skipped or not
+            big = max(m := _largest(phi.coeffs, s.coeffs), m * m)
+            if not (floor := 2.0**-26 * big * big) < math.inf:
+                return None  # no finite err reaches it: left unscored
+        if trial or not skip:
+            err = residual_error(phi, s, q, boundary)
+            if err != err:  # nan: the pair is not finite
+                err = math.inf
+            if trial and not floor <= err < math.inf:
+                return None
+        if skip:
             if watch is not None:
-                watch(w0, False)
+                defect = max(defect, watch(w0, False))
             continue
-        err = residual_error(phi, s, q, boundary)
-        if err != err:  # nan: the pair is not finite
-            err = math.inf
         records.append(IterationRecord(iteration, order, err, q, w_over_h(w0, boundary.nu),
                                        (time.perf_counter() - t0) * 1e3))
         diverged = order > 0 and err > DIVERGENCE_ERR
         if watch is not None:
-            watch(w0, diverged)
+            defect = max(defect, watch(w0, diverged))
         if diverged:
             status = "diverged"
             break
@@ -491,7 +490,8 @@ def run_passes(passes, boundary: BoundarySpec, config: dict,
                 break
     if status == "max_iter" and err <= mode.tol:
         status = "converged"
-    return RunReport(config=config, history=records, phi=phi, s=s, status=status)
+    return RunReport(config=config, history=records, phi=phi, s=s, status=status,
+                     restriction_defect=defect)
 
 
 def solve(problem, phi0: np.ndarray, head: dict, watch=None, step=None,
@@ -503,16 +503,29 @@ def solve(problem, phi0: np.ndarray, head: dict, watch=None, step=None,
     echo.  ``step`` is the pass of an iterate mode (see
     ``homotopy_passes``), ``watch`` is ``run_passes``' per-pass call, and
     ``state`` (a batch's row, stepped already) replaces the fresh state.
+
+    An extended series first runs as a float64 trial, which warns of
+    nothing, and keeps it when ``run_passes`` does: every err it scores is
+    finite and far above float64's rounding.  Otherwise the series runs
+    again in double-double, from its guess widened.
     """
     mode, b = problem.mode, problem.boundary
     ext = problem.precision == "extended"
+    trial = ext and isinstance(mode, SeriesMode)
     state = state or HomotopyState([phi0], [np.zeros(1)], problem.c1, problem.c2,
                                    getattr(problem, "load", None))
+    config = config_echo(problem, head)
     # extended: 16 KB numpy ufunc buffers, not 64 KB, for broadcast double-double products
     bufsize = np.setbufsize(2048 if ext else np.getbufsize())
     try:
-        report = run_passes(homotopy_passes(state, mode, b, step, ext), b,
-                            config_echo(problem, head), mode, watch)
+        with np.errstate(all="ignore" if trial else None):
+            report = run_passes(homotopy_passes(state, mode, b, step, ext), b, config, mode,
+                                watch, trial)
+        if report is None:  # the trial's terms are freed as the widened guess replaces them
+            drop_power_tables()  # and its float64 scores' 202 KB
+            state = HomotopyState([widen(state.phi_terms[0])], [widen(state.s_terms[0])],
+                                  state.c1, state.c2, state.load)
+            report = run_passes(homotopy_passes(state, mode, b), b, config, mode, watch)
     finally:
         np.setbufsize(bufsize)
     if ext and not report.phi.extended:  # an extended report is double-double

@@ -74,10 +74,13 @@ _MIXED = [-0.2, -0.1, -0.15, -1.9, -0.05, -0.22, -0.12, -0.07, -0.2]
     (_HINGED_LOAD, _MIXED, 1),
     (_SIMPLE_DEFLECTION, _MIXED[::-1], 1),
     (replace(_SIMPLE_DEFLECTION, mode=SeriesMode(8), precision="extended"), _GRID[:9], 0),
+    # at -0.2 the float64 trial fails at an order the sweep does not record
+    (GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(20), precision="extended"),
+     [-0.25, -0.2], 0),
     (replace(_HINGED_LOAD, mode=IterateMode(3, 12, max_iter=6)), _GRID[10:], 5),
 ], ids=["load", "deflection", "one-point-load", "one-point-deflection",
         "all-diverged-chunk", "diverged-mid-chunk", "deflection-mixed", "extended",
-        "iterate"])
+        "extended-trial", "iterate"])
 def test_sweep_matches_full_runs(problem, grid, diverged):
     # the sweep scores only what the residual bound cannot clear and steps a
     # float64 series in chunks, yet every point's err (bit for bit) and status

@@ -1,12 +1,13 @@
 """Prescribed-deflection solver: the side condition, the recovered load,
 and consistency with the prescribed-load solver."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from vkplate import given_deflection, ham
+from vkplate import cli, given_deflection, ham
 from vkplate.config import DIVERGENCE_ERR, IterateMode, SeriesMode
 from vkplate.given_deflection import (
     GivenDeflectionProblem,
@@ -118,6 +119,28 @@ def test_sparse_series_run_matches_the_full_run():
     assert [rec.order for rec in sparse.history] == [30]
     for name in ("restriction_defect", "iterations", "q", "w0_over_h", "err", "status"):
         assert getattr(sparse, name) == getattr(full, name)
+
+
+@pytest.mark.parametrize("c0, trial, defect", [
+    (None, 11, 4.440892098500626e-15),  # --c0 auto
+    # a float64 trial whose passes' worst defect, 1.15e-14, is larger
+    (-0.3, 11, 2.6645352591003757e-15),
+], ids=["c0-auto", "c0-0.3"])
+def test_a_rerun_series_reports_the_defect_of_its_kept_run(monkeypatch, residual_calls, capsys,
+                                                           c0, trial, defect):
+    # the float64 trial of this extended series fails at its order `trial` and
+    # the series runs again in double-double; the report's defect is the rerun's
+    line = f"solve-a --a 5 --c0 {c0 or 'auto'} --order 20 --format json --precision extended"
+    assert cli.main(line.split() + ["--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["restriction_defect"] == defect
+    assert [pair[0].extended for pair in residual_calls] == [False] * trial + [True] * 20
+    # and the trial's passes are guarded
+    monkeypatch.setattr(given_deflection, "_RESTRICTION_GUARD", -1.0)
+    del residual_calls[:]
+    with pytest.raises(RuntimeError, match="side condition"):
+        solve(GivenDeflectionProblem.with_c0(5.0, c0 or empirical_c0(5.0), SeriesMode(20),
+                                             precision="extended"))
+    assert len(residual_calls) == 1 and not residual_calls[0][0].extended
 
 
 def test_blown_up_run_is_diverged_not_broken():

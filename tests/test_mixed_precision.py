@@ -1,9 +1,10 @@
 """An extended iterate run takes float64 passes until its residual nears
 float64's reach (``ham.homotopy_passes``), then passes whose first order
 is double-double and whose correction orders are float64
-(``ham.iterate_pass``); a double-double pair whose residual lies far above
-float64's rounding is scored in float64 (``ham.residual_error``); and a
-pass whose series overflow ends the run as diverged, with its report."""
+(``ham.iterate_pass``); an extended series runs in float64 when every pair
+it scores lies far above float64's rounding, and in double-double otherwise
+(``ham.solve``); and a pass whose series overflow ends the run as diverged,
+with its report."""
 
 import contextlib
 import io
@@ -14,7 +15,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from vkplate import cli, ham
+from vkplate import cli, ddouble, given_load, ham
 from vkplate.config import IterateMode, SeriesMode
 from vkplate.diagnostics import solve_problem
 from vkplate.given_deflection import GivenDeflectionProblem, empirical_c0, initial_slope
@@ -87,36 +88,80 @@ def _scores(pair):
     the rule's threshold 2**-26 * M**2, M = max(m, m**2)."""
     phi, s, q, b = pair
     m = max(abs(np.concatenate((phi.coeffs, s.coeffs))))
-    plain = ham._grid_error(PolySeries(phi.coeffs), PolySeries(s.coeffs), q, b)
-    return plain, ham._grid_error(*pair), 2.0**-26 * max(m, m * m) ** 2
+    plain = ham.residual_error(PolySeries(phi.coeffs), PolySeries(s.coeffs), q, b)
+    return plain, ham.residual_error(*pair), 2.0**-26 * max(m, m * m) ** 2
 
 
-@pytest.mark.parametrize("problem, scored, above", [
+def _double_double_series(problem):
+    """The problem's series run in double-double from its guess widened, as
+    ``ham.solve`` reruns a series whose float64 trial fails."""
+    b = problem.boundary
+    if isinstance(problem, GivenLoadProblem):
+        phi0 = given_load.initial_slope(problem.load, problem.c1, b)
+    else:
+        phi0 = initial_slope(problem.deflection, b)
+    state = ham.HomotopyState([widen(phi0)], [widen(np.zeros(1))], problem.c1, problem.c2,
+                              getattr(problem, "load", None))
+    return ham.run_passes(ham.homotopy_passes(state, problem.mode, b), b, {}, problem.mode)
+
+
+def _counted_ddouble(monkeypatch):
+    """A list that gains the name of each ``vkplate.ddouble`` function called."""
+    calls = []
+
+    def counted(name, real):
+        return lambda *args, **kw: calls.append(name) or real(*args, **kw)
+
+    for name, value in vars(ddouble).items():
+        if callable(value) and getattr(value, "__module__", None) == ddouble.__name__:
+            monkeypatch.setattr(ddouble, name, counted(name, value))
+    return calls
+
+
+@pytest.mark.parametrize("problem, scored, above, trial", [
     # the benchmark's series; gaps up to 1.0e-13
-    (GivenLoadProblem.with_c0(5.0, -0.35, SeriesMode(30), precision="extended"), 31, 31),
+    (GivenLoadProblem.with_c0(5.0, -0.35, SeriesMode(30), precision="extended"), 31, 31, 31),
     # `solve-a --a 5 --order 20`; up to 3.6e-13
     (GivenDeflectionProblem.with_c0(5.0, empirical_c0(5.0), SeriesMode(20),
-                                    precision="extended"), 20, 10),
+                                    precision="extended"), 20, 10, 11),
     # up to 1.2e-13, with m < 1
-    (GivenLoadProblem.with_c0(1.0, -0.9, SeriesMode(60), precision="extended"), 61, 4),
+    (GivenLoadProblem.with_c0(1.0, -0.9, SeriesMode(60), precision="extended"), 61, 4, 5),
     # a diverging series, m up to 2.6e4: a threshold of 2**-26 * m**2 scored
     # its last pair in float64, 4.5e-9 off the double-double score
-    (GivenDeflectionProblem.with_c0(5.0, -0.9, SeriesMode(10), precision="extended"), 10, 3),
+    (GivenDeflectionProblem.with_c0(5.0, -0.9, SeriesMode(10), precision="extended"), 10, 3, 4),
 ], ids=["Q5-order30", "a5-order20", "Q1-order60", "a5-diverging"])
-def test_a_pair_far_above_float64_rounding_is_scored_in_float64(residual_calls, problem,
-                                                                scored, above):
-    solve_problem(problem)
+def test_a_series_far_above_float64_rounding_runs_in_float64(monkeypatch, residual_calls,
+                                                             problem, scored, above, trial):
+    # `scored` pairs of the double-double run, `above` of them at or above the
+    # threshold; the float64 trial scores `trial` pairs, and is kept if all are
+    ref = _double_double_series(problem)
     pairs = list(residual_calls)  # scored again below
     kept = 0
     for pair in pairs:
         plain, ext, threshold = _scores(pair)
         if plain >= threshold:
             kept += 1
-            assert ham.residual_error(*pair) == plain
             assert abs(plain - ext) <= 2.0**-30 * ext
-        else:
-            assert ham.residual_error(*pair) == ext
     assert (len(pairs), kept) == (scored, above)
+
+    dd_calls = _counted_ddouble(monkeypatch)
+    del residual_calls[:]
+    rep = solve_problem(problem)
+    assert rep.phi.extended and rep.s.extended
+    rerun = scored if kept < scored else 0
+    assert [pair[0].extended for pair in residual_calls] == [False] * trial + [True] * rerun
+    if not rerun:  # the float64 trial is kept, with no double-double arithmetic
+        assert dd_calls == ["two_sum", "two_sum"]  # the report's widened pair, renormalized
+        assert not (rep.phi.lo.any() or rep.s.lo.any())
+        assert [(r.iteration, r.order, r.q) for r in rep.history] == \
+            [(r.iteration, r.order, r.q) for r in ref.history]
+        for got, want in zip(rep.history, ref.history):
+            assert abs(got.err - want.err) <= 2.0**-30 * want.err
+            assert abs(got.w0_over_h - want.w0_over_h) <= 1e-13 * abs(want.w0_over_h)
+    else:  # abandoned at its first pair below the threshold, then run in double-double
+        assert _rows(rep) == _rows(ref) and rep.status == ref.status
+        assert np.array_equal(rep.phi.array, ref.phi.array)
+        assert np.array_equal(rep.s.array, ref.s.array)
 
 
 def test_a_non_finite_float64_score_falls_back_to_double_double(residual_calls):

@@ -108,10 +108,14 @@ COMMANDS = (
     # extended-precision series in both directions
     "solve-q --Q 5 --order 20 --format json" + _EXT + _D,
     "solve-a --a 5 --order 20 --format json" + _EXT + _D,
-    # an extended series whose residual scores go both ways: 4 of its 61
-    # pairs in float64, above 2**-26 * M**2 (see ham.residual_error), 57 in
-    # double-double
+    # an extended series whose float64 trial fails at its fifth pair, below
+    # 2**-26 * M**2 (see ham.run_passes), and which runs in double-double
     "solve-q --Q 1 --c0 -0.9 --order 60" + _EXT + _D,
+    # the benchmark's extended series, whose float64 trial is kept
+    "solve-q --Q 5 --c0 -0.35 --order 30" + _EXT + _D,
+    # a trial whose guess cannot clear the threshold: the double-double run
+    # warns of its overflow, as the warning lines on stderr show
+    "solve-q --Q 1e100 --c0 -0.5 --order 3" + _EXT + _D,
     # a simply supported edge (lam != 0)
     "solve-a --a 5 --boundary simple --format json" + _D,
     # diverging runs
