@@ -30,9 +30,9 @@ class SeriesMode:
 
     ``tol`` only classifies the final status (converged vs not); the
     series always runs to the requested order.  ``every_order`` False
-    scores only the last order and the orders that
-    ``ham.residual_bound`` cannot clear of divergence; the run's err,
-    status and first diverged order stay those of a full run.
+    scores only the last order and the orders that ``ham.residual_bound``
+    cannot clear of divergence (an extended series' float64 trial scores
+    every order); the err, status and first diverged order are a full run's.
     """
 
     order: int = 100

@@ -114,8 +114,5 @@ def compare_orders(problem, m_values=(1, 2, 3, 4, 5)) -> dict:
         raise ValueError("compare_orders needs an iterate-mode problem")
     if not m_values:
         raise ValueError("no pass order given")
-    for m in m_values:  # every order is checked before any is solved
-        if m < 1:
-            raise ValueError(f"pass order must be >= 1, got {m}")
-    return {int(m): solve_problem(replace(problem, mode=replace(problem.mode, order=int(m))))
-            for m in m_values}
+    problems = [replace(problem, mode=replace(problem.mode, order=int(m))) for m in m_values]
+    return {p.mode.order: solve_problem(p) for p in problems}  # all checked before a solve

@@ -68,7 +68,6 @@ from .polyseries import (
     PolySeries,
     add,
     convolve,
-    drop_power_tables,
     fsum,
     multiply,
     over_y_squared,
@@ -235,7 +234,7 @@ def iterate_pass(state: HomotopyState, order: int, truncation: int | None,
 
 def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=None,
                     extended: bool = False):
-    """Yield ``(iteration, order, phi, s, q)`` for every pair a solve scores.
+    """Yield ``(iteration, order, phi, s, q)`` for every pair a solve judges.
 
     A ``SeriesMode`` yields the running partial sums after orders
     1..order, after the guess ``(0, 0, phi0, s0, load)`` of a load state
@@ -264,7 +263,6 @@ def homotopy_passes(state: HomotopyState, mode, boundary: BoundarySpec, step=Non
             phi, s = state.phi_terms[0], state.s_terms[0]
             err = yield it, it * mode.order, series(phi), series(s), q
             if extended and phi.ndim == 1 and err <= 2.0**-53 * _largest(phi, s) ** 2:
-                drop_power_tables()  # the float64 scores' 202 KB, freed once, at the switch
                 state.phi_terms[0], state.s_terms[0] = widen(phi), widen(s)
         return
     phi, s = state.phi_terms[0], state.s_terms[0]
@@ -408,22 +406,22 @@ def run_passes(passes, boundary: BoundarySpec, config: dict,
     phi.integral_over_y()`` (W(0) = -w0), one history record and, with
     ``watch`` set, one call ``watch(w0, diverged)``, whose largest return
     value is the report's ``restriction_defect``.  A non-finite residual
-    (nan is recorded as inf) or one above ``DIVERGENCE_ERR`` ends the run diverged; an order-0
-    record is the starting guess, not a pass, and is never judged
-    diverged.  An ``IterateMode`` run ends as converged at the first
-    residual at or below ``mode.tol``, or as stalled once
+    (nan is recorded as inf) or one above ``DIVERGENCE_ERR`` ends the run
+    diverged; an order-0 record is the starting guess, not a pass, and is
+    never judged diverged.  An ``IterateMode`` run ends as converged at the
+    first residual at or below ``mode.tol``, or as stalled once
     ``STALL_PASSES`` passes in a row set no new residual minimum, one below
-    the best by more than a relative 2**-20; one that
-    spends its ``mode.max_iter`` passes still improving ends as max_iter.
+    the best by more than a relative 2**-20; one that spends its
+    ``mode.max_iter`` passes still improving ends as max_iter.
     A ``SeriesMode`` run takes every pass, and its last residual decides
     between converged and max_iter.  Every status reports the last pass.
 
-    A ``SeriesMode`` with ``every_order`` False scores and records only
-    its last order and each order above 0 whose ``residual_bound`` is not
-    at or below ``DIVERGENCE_ERR / 2`` (the factor 2 absorbs rounding).
-    An order it skips has a finite residual under the threshold, so it is
-    not diverged; it still gets its ``watch(w0, False)``, and err, status
-    and the first diverged order are those of a full run.
+    Outside a trial, a ``SeriesMode`` with ``every_order`` False scores and
+    records only its last order and each order above 0 whose
+    ``residual_bound`` is not at or below ``DIVERGENCE_ERR / 2`` (the factor
+    2 absorbs rounding).  An order it skips has a finite residual under the
+    threshold, so it is not diverged; it still gets its ``watch(w0, False)``,
+    and err, status and the first diverged order are those of a full run.
 
     With ``trial`` the passes are the float64 trial of an extended series
     (see ``solve``), and the run returns None at the first pair whose err
@@ -438,11 +436,10 @@ def run_passes(passes, boundary: BoundarySpec, config: dict,
     and 30) the largest relative gap between the score of the high parts
     and the double-double score above the threshold was 1.2e-12; a
     threshold of 2**-26 * m**2 let a gap of 4.3e-5 through, on a diverging
-    series with m = 1.1e8.  A pair whose threshold overflows fails
-    unscored; an order that ``every_order`` False skips is scored but not
-    recorded, so that a trial is kept or abandoned as a full run's is.
+    series with m = 1.1e8.  A pair whose threshold overflows fails unscored.
+    A trial skips no order, so it is kept or abandoned as a full run's is.
     """
-    sparse = isinstance(mode, SeriesMode) and not mode.every_order
+    sparse = isinstance(mode, SeriesMode) and not mode.every_order and not trial
     records = []
     status = "max_iter"
     err, best = None, math.inf
@@ -457,25 +454,23 @@ def run_passes(passes, boundary: BoundarySpec, config: dict,
         w0 = phi.integral_over_y()
         skip = sparse and order < mode.order and (
             order == 0 or residual_bound(phi, s, q, boundary) <= DIVERGENCE_ERR / 2)
-        if trial:  # every pair must lie far above float64's rounding, skipped or not
+        if trial:  # every pair must lie far above float64's rounding
             big = max(m := _largest(phi.coeffs, s.coeffs), m * m)
             if not (floor := 2.0**-26 * big * big) < math.inf:
                 return None  # no finite err reaches it: left unscored
-        if trial or not skip:
+        if not skip:
             err = residual_error(phi, s, q, boundary)
             if err != err:  # nan: the pair is not finite
                 err = math.inf
             if trial and not floor <= err < math.inf:
                 return None
+        diverged = not skip and order > 0 and err > DIVERGENCE_ERR
+        if watch is not None:
+            defect = max(defect, watch(w0, diverged))
         if skip:
-            if watch is not None:
-                defect = max(defect, watch(w0, False))
             continue
         records.append(IterationRecord(iteration, order, err, q, w_over_h(w0, boundary.nu),
                                        (time.perf_counter() - t0) * 1e3))
-        diverged = order > 0 and err > DIVERGENCE_ERR
-        if watch is not None:
-            defect = max(defect, watch(w0, diverged))
         if diverged:
             status = "diverged"
             break
@@ -505,9 +500,9 @@ def solve(problem, phi0: np.ndarray, head: dict, watch=None, step=None,
     ``state`` (a batch's row, stepped already) replaces the fresh state.
 
     An extended series first runs as a float64 trial, which warns of
-    nothing, and keeps it when ``run_passes`` does: every err it scores is
-    finite and far above float64's rounding.  Otherwise the series runs
-    again in double-double, from its guess widened.
+    nothing and scores every order, and keeps it when ``run_passes`` does:
+    every err is finite and far above float64's rounding.  Otherwise the
+    series runs again in double-double, from its guess widened.
     """
     mode, b = problem.mode, problem.boundary
     ext = problem.precision == "extended"
@@ -522,7 +517,6 @@ def solve(problem, phi0: np.ndarray, head: dict, watch=None, step=None,
             report = run_passes(homotopy_passes(state, mode, b, step, ext), b, config, mode,
                                 watch, trial)
         if report is None:  # the trial's terms are freed as the widened guess replaces them
-            drop_power_tables()  # and its float64 scores' 202 KB
             state = HomotopyState([widen(state.phi_terms[0])], [widen(state.s_terms[0])],
                                   state.c1, state.c2, state.load)
             report = run_passes(homotopy_passes(state, mode, b), b, config, mode, watch)

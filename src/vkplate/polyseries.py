@@ -214,7 +214,9 @@ _BLOCK = 8192
 _TABLE_SIZE = 15 << 10
 _MAX_TABLES = 8
 #: Power tables of the blocks of points evaluated last, oldest first,
-#: keyed by the bytes of their points.
+#: keyed by the bytes of their points.  A double-double product, which
+#: follows a solve's last float64 score, empties it (the residual grid's
+#: tables take about 200 KB), so no double-double pass runs beside them.
 _TABLES: dict[bytes, np.ndarray] = {}
 #: Coefficients per baby step of ``_horner_dd``.
 _RUN = 16
@@ -254,10 +256,6 @@ def _power_table(ys: np.ndarray, rows: int) -> np.ndarray:
         _check_unit(ys)
         return np.cumprod(np.broadcast_to(ys, (rows, ys.size)), axis=0)
     return _cached(_TABLES, ys.tobytes(), rows, build)
-
-
-def drop_power_tables() -> None:
-    _TABLES.clear()
 
 
 def _dd_power_table(ys: np.ndarray, runs: int) -> np.ndarray:
@@ -362,6 +360,7 @@ def convolve(f: np.ndarray, g: np.ndarray, max_degree: int | None = None) -> np.
     if f.ndim != 2 != g.ndim:  # a batch: one np.convolve per row
         out = np.array(list(map(np.convolve, f[:, 0], g[:, 0])))[:, None]
         return out if max_degree is None else out[..., : max_degree + 1]
+    _TABLES.clear()  # see _TABLES
     f, g = widen(f), widen(g)
     n, m = f.shape[1], g.shape[1]
     size = n + m - 1 if max_degree is None else min(n + m - 1, max_degree + 1)

@@ -157,6 +157,22 @@ def test_benchmark_sweep_scores_at_most_two_orders_per_point(residual_calls):
     assert len(residual_calls) <= 2 * len(grid)
 
 
+def test_a_kept_sweep_trial_records_every_pair_it_scores(monkeypatch, residual_calls):
+    # both points keep their float64 trial, which scores and records all 10 orders
+    reports = []
+    real = ham.run_passes
+
+    def judged(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(ham, "run_passes", judged)
+    problem = GivenDeflectionProblem.with_c0(5.0, -0.5, SeriesMode(10), precision="extended")
+    sweep_c0(problem, [-0.3, -0.1])
+    assert len(reports) == 2 and not any(pair[0].extended for pair in residual_calls)
+    assert len(residual_calls) == sum(len(r.history) for r in reports) == 20
+
+
 def test_sweep_uses_the_requested_order():
     # the order is the problem's SeriesMode
     coarse = sweep_c0(_load_problem(3), [-0.5]).best.err

@@ -15,13 +15,14 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from vkplate import cli, ddouble, given_load, ham
+from vkplate import cli, ddouble, given_load, ham, polyseries
 from vkplate.config import IterateMode, SeriesMode
 from vkplate.diagnostics import solve_problem
 from vkplate.given_deflection import GivenDeflectionProblem, empirical_c0, initial_slope
 from vkplate.given_load import GivenLoadProblem
 from vkplate.kernels import BoundarySpec
 from vkplate.polyseries import PolySeries, add, over_y_squared, weighted_integral, widen
+from vkplate.report import emit_report
 
 _EXT = IterateMode(order=5, truncation=100, tol=1e-24)
 
@@ -58,6 +59,31 @@ def test_switched_runs_reach_the_double_double_floor(load, c0, tol):
 def test_an_extended_report_is_double_double(problem):
     rep = solve_problem(problem)
     assert rep.phi.extended and rep.s.extended
+
+
+def test_the_first_double_double_product_frees_the_float64_tables(monkeypatch,
+                                                                   residual_calls):
+    # the benchmark's a = 5 solve: its float64 passes keep the power tables they
+    # build, the products of its first double-double pass free them, and a cache
+    # that holds tables gives the bytes an empty one gives
+    monkeypatch.setattr(polyseries, "_TABLES", {})
+    held = []
+    real = ham.residual_error
+
+    def scored(*args):
+        held.append(bool(polyseries._TABLES))  # before the pair is scored
+        return real(*args)
+
+    monkeypatch.setattr(ham, "residual_error", scored)
+    solve_problem(GivenDeflectionProblem.with_c0(5.0, -0.5, _EXT, precision="extended"))
+    switch = [pair[0].extended for pair in residual_calls].index(True)
+    assert switch == 6 and all(pair[0].extended for pair in residual_calls[switch:])
+    assert held == [False] + [True] * 5 + [False] * (len(held) - 6)
+    assert not polyseries._TABLES
+    load = GivenLoadProblem.with_c0(1000.0, -0.02, IterateMode())
+    fresh = emit_report(solve_problem(load), deterministic=True)
+    assert polyseries._TABLES
+    assert emit_report(solve_problem(load), deterministic=True) == fresh
 
 
 def _double_double_pass(state, order, truncation, boundary):
