@@ -39,7 +39,10 @@ reads only its end skips the orders ``residual_bound`` clears), shows it
 to the solver's ``watch``, stops on divergence, tolerance or a stall, and
 builds the run report.  An extended series runs in float64 when every pair
 it scores lies far above float64's rounding, and in double-double
-otherwise; ``residual_error`` scores a pair in the pair's own precision.
+otherwise.  ``residual_error`` assembles a pair's operators in the pair's
+own precision; double-double ones, which cancel in that assembly, are
+evaluated on the grid in float64 when that evaluation's rounding is
+provably far below the score, and in double-double otherwise.
 """
 
 from __future__ import annotations
@@ -308,20 +311,38 @@ def _largest(*arrays) -> float:
 
 def residual_error(phi: PolySeries, s: PolySeries, load: float,
                    boundary: BoundarySpec) -> float:
-    """Mean square of N1 and N2 for a candidate pair on the residual grid,
-    in the pair's own precision: double-double when either input is.
+    """Mean square of N1 and N2 for a candidate pair on the residual grid.
 
-    The operators are assembled without any truncation; the grid is the
+    The operators are assembled without any truncation, in the pair's own
+    precision: double-double when either input is; the grid is the
     ``config.GRID`` + 1 uniform points of [0, 1].  Both residuals vanish
     identically at y = 0 by construction: the pair, the kernel images and
     the load image all have a zero constant term.
+
+    Double-double operators, which have cancelled in their assembly, are
+    evaluated in float64 (``PolySeries._grid_hi``), and that score err is
+    kept when it is finite and the sum of the two evaluations' error
+    bounds, (2 n + 2) u Σ|c_m| for n coefficients, is at most
+    2**-26 * sqrt(err): the grid values then lie within 2**-26 of their
+    root mean square, and err within about 2**-25 relative.  Otherwise both
+    are evaluated in double-double (``PolySeries._horner_dd``) and their
+    squares summed by ``dd.dot_rows``.
     """
     if not (phi.extended or s.extended):  # both built first: overflows warn in that order
         n1, n2 = _operators(phi, s, load, boundary)
         v1, v2 = n1.evaluate_grid(GRID_POINTS), n2.evaluate_grid(GRID_POINTS)
         return (fsum(v1 * v1) + fsum(v2 * v2)) / (GRID + 1)
     # each operator is built once the one before is evaluated and freed: with
-    # both alive, one residual at N = 100 peaked about 3 KB higher
+    # both alive, extended's VmHWM growth over 10 iterations read about 90 kB
+    # higher (tools/vmhwm.py).  A score that falls through builds them again,
+    # and warns as it did before: 3 of the 121 double-double scores of
+    # tools/same_outputs.py's command lines do, 2 of them overflowed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops = _operators(phi, s, load, boundary)
+        (v1, b1), (v2, b2) = (n._grid_hi(GRID_POINTS) for n in ops)
+        err = (fsum(v1 * v1) + fsum(v2 * v2)) / (GRID + 1)
+    if err < math.inf and b1 + b2 <= 2.0**-26 * math.sqrt(err):
+        return err
     v1, v2 = (n._horner_dd(GRID_POINTS) for n in _operators(phi, s, load, boundary))
     vh, vl = np.concatenate((v1[0], v2[0])), np.concatenate((v1[1], v2[1]))
     # the sum of squares: vh**2 compensated by dot_rows, 2 vh vl in float64

@@ -16,7 +16,9 @@ turns each coefficient into a double-double value (see
 :mod:`vkplate.ddouble`); every operation then tracks the compensated
 parts, which is what the extended-precision solver mode runs on.  A grid
 evaluation reads cached power tables: one vector-matrix product in float64,
-a two-level compensated dot product (``_horner_dd``) in double-double.
+a two-level compensated dot product (``_horner_dd``) in double-double, or,
+for a double-double series evaluated in float64 with an error bound
+(``_grid_hi``), vector-matrix products on the high parts of its table.
 
 The precision of a coefficient array (last axis: coefficients) is its
 number of axes: a 2-D array is the (2, n) double-double stack of hi over
@@ -191,6 +193,32 @@ class PolySeries:
             s, e = dd.dot_rows(qh, gh, lo=(ql, gl))
             out[:, b] = dd.add(*dd.mul_d(*dd.quick_two_sum(s, e), flat[b]), *c[:, 0])
         return out[0].reshape(ys.shape), out[1].reshape(ys.shape)
+
+    def _grid_hi(self, ys: np.ndarray):
+        """Float64 values at the 1-D points ys of [0, 1] (not checked), and a bound
+        of their distance from the series' exact values.
+
+        p(y) = c_0 + y * q(y) as in ``_horner_dd``, in float64 on the high parts:
+        each run of 16 of c_1..c_{n-1} is one vector-matrix ``np.dot`` against
+        the high rows y**0..y**15 of ``_dd_power_table``, scaled by the high
+        row y**(16 j), and the runs are added in order.  Each table entry is
+        within u = 2**-53 of its power, and for runs of L <= 16 coefficients
+        and R runs a point's value rounds L + R + 4 times, so with the low
+        parts (at most u/2 of the high ones) it is within (2 n + 2) u
+        * sum |c_m| y**m of p(y), to first order; the bound takes y = 1.
+        """
+        c = self.coeffs
+        runs = max(1, -(-(len(c) - 1) // _RUN))
+        table = _dd_power_table(ys, runs)[0]
+        acc = np.dot(c[1 : 1 + _RUN], table[: min(_RUN, len(c) - 1)])
+        for j in range(1, runs):
+            run = c[1 + _RUN * j : 1 + _RUN * (j + 1)]
+            part = np.dot(run, table[: len(run)])
+            part *= table[_RUN + j]
+            acc += part
+        # sum|c| by Python's sum: ndarray.sum paged in code that extended's path
+        # never loads otherwise, and math.fsum raises on an overflowing sum
+        return c[0] + ys * acc, (2 * len(c) + 2) * 2.0**-53 * sum(map(abs, c.tolist()))
 
     def integral_over_y(self) -> float:
         """The weighted integral of f(y)/y over [0, 1].

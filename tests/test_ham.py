@@ -486,11 +486,14 @@ def _rows(state):
 def test_array_core_matches_reference_recurrence(truncation, mode, kind, precision):
     # six orders: at truncation 6 the products outgrow the cap within
     # them, so both the capped convolution and the cut act; each row of a
-    # batch is the oracle run at its own control
+    # batch is the oracle run at its own control; a step leaves the earlier
+    # terms byte-identical
     boundary = BoundarySpec(kind)
     state, refs = _reference_states(mode, precision, boundary)
     for k in range(1, 7):
+        earlier = [t.tobytes() for t in state.phi_terms + state.s_terms]
         deformation_step(state, k, boundary, truncation)
+        assert [t.tobytes() for t in state.phi_terms[:k] + state.s_terms[:k]] == earlier
         for row, ref in zip(_rows(state), refs, strict=True):
             oracles.deformation_step(ref, k, boundary, truncation)
             _assert_terms_equal(row, ref)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from vkplate import cli, ddouble, given_load, ham, polyseries
-from vkplate.config import IterateMode, SeriesMode
+from vkplate.config import GRID, GRID_POINTS, IterateMode, SeriesMode
 from vkplate.diagnostics import solve_problem
 from vkplate.given_deflection import GivenDeflectionProblem, empirical_c0, initial_slope
 from vkplate.given_load import GivenLoadProblem
@@ -242,3 +242,84 @@ def test_a_finite_structural_fault_still_raises():
         weighted_integral(batch)
     assert np.array_equal(over_y_squared(batch[:1]), [[[2.0, 3.0]]])
     assert weighted_integral(batch[:1]) == 1.0 + 1.0 + 1.0
+
+
+def _double_double_score(phi, s, q, b):
+    """The score of a pair by the double-double evaluation: both operators by
+    ``_horner_dd``, the sum of their squares by ``dd.dot_rows``."""
+    v1, v2 = (n._horner_dd(GRID_POINTS) for n in ham._operators(phi, s, q, b))
+    vh, vl = np.concatenate((v1[0], v2[0])), np.concatenate((v1[1], v2[1]))
+    sh, sl = ddouble.dot_rows(vh, vh)
+    sh, sl = ddouble.quick_two_sum(sh, sl + 2.0 * np.dot(vh, vl))
+    return ddouble.to_float(*ddouble.div_d(sh, sl, float(GRID + 1)))
+
+
+def _scored_with_horner_calls(monkeypatch):
+    """A list that gains (pair, err, _horner_dd calls made) per ``residual_error`` call."""
+    scores, horner = [], []
+    real_score, real_horner = ham.residual_error, PolySeries._horner_dd
+
+    def scored(*pair):
+        before = len(horner)
+        err = real_score(*pair)
+        scores.append((pair, err, len(horner) - before))
+        return err
+
+    monkeypatch.setattr(PolySeries, "_horner_dd",
+                        lambda self, ys: horner.append(1) or real_horner(self, ys))
+    monkeypatch.setattr(ham, "residual_error", scored)
+    return scores
+
+
+@pytest.mark.parametrize("a, c0, pairs", [(5.0, -0.5, 3), (10.0, -0.2, 11)])
+def test_the_benchmark_scores_its_double_double_pairs_in_float64(monkeypatch, a, c0, pairs):
+    # the operators cancel in double-double and are evaluated in float64: their
+    # sum|c| is at most 9.3e4 times sqrt(err) here, and the scores lie within
+    # 1.5e-13 of the double-double ones
+    scores = _scored_with_horner_calls(monkeypatch)
+    solve_problem(GivenDeflectionProblem.with_c0(a, c0, _EXT, precision="extended"))
+    extended = [(pair, err, calls) for pair, err, calls in scores if pair[0].extended]
+    assert len(extended) == pairs
+    for pair, err, calls in extended:
+        assert calls == 0
+        want = _double_double_score(*pair)
+        assert abs(err - want) <= 2.0**-30 * want
+
+
+def _shifted_chebyshev(n):
+    """The integer monomial coefficients of T*_n(y) = T_n(2 y - 1)."""
+    prev, cur = [1], [-1, 2]
+    for _ in range(n - 1):  # T*_(k+1) = (4 y - 2) T*_k - T*_(k-1)
+        nxt = [0] * (len(cur) + 1)
+        for i, c in enumerate(cur):
+            nxt[i + 1] += 4 * c
+            nxt[i] -= 2 * c
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
+
+
+def test_a_pair_with_large_coefficients_and_small_values_is_scored_in_double_double(
+        monkeypatch):
+    # phi = eps * (T*_25(y) - T*_25(0)) lies in [0, 2 eps] on [0, 1], while its
+    # monomial coefficients add up to 6.9e18 * eps: float64 evaluation of N1 = phi
+    # and N2 = -G[phi**2 / y**2] / 2 is off by far more than its values
+    c = _shifted_chebyshev(25)
+    c[0] = 0
+    hi = np.array([float(x) for x in c])
+    lo = np.array([float(x - int(h)) for x, h in zip(c, hi.tolist())])  # exact below 2**106
+    eps = 2.0**-30
+    pair = (PolySeries(eps * hi, eps * lo), PolySeries(np.zeros(1), np.zeros(1)), 0.0,
+            BoundarySpec())
+    plain = [n._grid_hi(GRID_POINTS)[0] for n in ham._operators(*pair)]
+    scores = _scored_with_horner_calls(monkeypatch)
+    err = ham.residual_error(*pair)
+    assert scores[0][2] == 2  # both operators by _horner_dd
+    assert err == _double_double_score(*pair)
+    # N1 = phi = eps (T*_25 + 1) at the points, N2 of order eps**2; the float64
+    # score (3.8e-3 against 1.3e-18) would be kept if its bound did not weigh sum|c|
+    want = math.fsum((eps * (math.cos(25.0 * math.acos(2.0 * y - 1.0)) + 1.0)) ** 2
+                     for y in GRID_POINTS.tolist()) / (GRID + 1)
+    assert abs(err - want) <= 1e-9 * want
+    assert sum(math.fsum((v * v).tolist()) for v in plain) / (GRID + 1) > 1e6 * err

@@ -455,8 +455,12 @@ def test_extended_evaluation_against_mpmath(block, monkeypatch):
             for i in (37, 100):
                 h, lo = p._horner_dd(ys[i : i + 1])
                 assert h[0] == vh[i] and lo[0] == vl[i]
+            # the float64 evaluation of the high parts is within (2 n + 2) u
+            # sum |c_m| y**m, and its bound is that at y = 1
+            plain, bound = p._grid_hi(ys)
+            assert plain[0] == p.coeffs[0]
             cs = [mpmath.mpf(float(h)) + mpmath.mpf(float(l)) for h, l in zip(p.coeffs, p.lo)]
-            for y, h, l in zip(ys, vh, vl):
+            for y, h, l, v in zip(ys, vh, vl, plain):
                 y = mpmath.mpf(float(y))
                 want, scale = mpmath.mpf(0), mpmath.mpf(0)
                 for c in reversed(cs):
@@ -465,4 +469,6 @@ def test_extended_evaluation_against_mpmath(block, monkeypatch):
                 err = abs(mpmath.mpf(float(h)) + mpmath.mpf(float(l)) - want) / scale
                 assert err <= mpmath.mpf(1e-28), (length, float(y))
                 worst = max(worst, float(err))
+                assert abs(mpmath.mpf(float(v)) - want) <= (2 * length + 2) * 2.0**-53 * scale
+            assert bound == pytest.approx((2 * length + 2) * 2.0**-53 * float(scale), rel=1e-12)
     assert worst < 1e-30  # measured 7.7e-32

@@ -10,8 +10,10 @@ once at ``--trace 0`` and once at ``--trace 1``, and stores the
 of each run under ``runs[label][workload]["trace0"|"trace1"]`` of the
 output file.  Runs already in the file under other labels are kept, so the
 runs of a parent commit and of a change go into one file, one after the
-other.  The benchmark itself is not changed: its checks and bounds are those
-of the checkout.
+other.  Each label records the checkout's commit, as "uncommitted
+changes on <commit>" when its tracked files differ from it, and as
+"unknown" outside git.  The benchmark itself is not changed: its checks
+and bounds are those of the checkout.
 
 Exits 1 when a run is not ``"correct": true``; the run is still recorded.
 """
@@ -53,9 +55,15 @@ def run_one(checkout: Path, workload: str, trace: int) -> dict:
 
 
 def commit_of(checkout: Path) -> str:
+    """The checkout's HEAD, marked when its tracked files differ from it."""
     out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
                          text=True)
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+    if out.returncode != 0:
+        return "unknown"
+    dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                           cwd=checkout, capture_output=True, text=True).stdout.strip()
+    head = out.stdout.strip()
+    return f"uncommitted changes on {head}" if dirty else head
 
 
 def main(argv=None) -> int:
